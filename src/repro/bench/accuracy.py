@@ -13,6 +13,12 @@ Two statistics matter:
 * the *ranking accuracy* — when the model says chained beats packing,
   the measurement must agree: the model's purpose is choosing
   implementations, so ordering mistakes are the costly ones.
+
+A machine that cannot compose one style for some pattern pair is not
+an error.  The T3D ablation without a general deposit engine, for
+one, has no background receiver for non-contiguous writes, so chained
+is infeasible there.  The infeasible cell is skipped and recorded with
+its reason, and its pattern pair is left out of the ranking total.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from ..core.errors import CompositionError
 from ..core.operations import OperationStyle
 from ..core.patterns import CONTIGUOUS, INDEXED, AccessPattern, strided
 from ..machines.base import Machine
@@ -58,6 +65,8 @@ class AccuracyReport:
     cases: Tuple[AccuracyCase, ...]
     ranking_agreements: int
     ranking_total: int
+    #: ``(operation, style, reason)`` for every infeasible cell.
+    skipped: Tuple[Tuple[str, OperationStyle, str], ...] = ()
 
     @property
     def mean_ratio(self) -> float:
@@ -87,6 +96,15 @@ class AccuracyReport:
             f"  strategy-ranking accuracy: "
             f"{self.ranking_agreements}/{self.ranking_total}",
         ]
+        if self.skipped:
+            lines.append(
+                f"  skipped {len(self.skipped)} infeasible cells "
+                "(left out of the ranking):"
+            )
+            lines.extend(
+                f"    {operation} {style.value}: {reason}"
+                for operation, style, reason in self.skipped
+            )
         return "\n".join(lines)
 
 
@@ -94,15 +112,21 @@ def model_accuracy(machine: Machine, nbytes: int = 128 * 1024) -> AccuracyReport
     """Assess the model against the runtime over the full grid."""
     model = machine.model(source="simulated")
     cases: List[AccuracyCase] = []
+    skipped: List[Tuple[str, OperationStyle, str]] = []
     agreements = 0
     total = 0
     for x, y in GRID:
+        operation = f"{x.subscript}Q{y.subscript}"
         per_style: Dict[OperationStyle, AccuracyCase] = {}
         for style in OperationStyle:
-            estimate = model.estimate(x, y, style).mbps
-            measured = measure_q(machine, x, y, nbytes, style).mbps
+            try:
+                estimate = model.estimate(x, y, style).mbps
+                measured = measure_q(machine, x, y, nbytes, style).mbps
+            except CompositionError as exc:
+                skipped.append((operation, style, str(exc)))
+                continue
             case = AccuracyCase(
-                operation=f"{x.subscript}Q{y.subscript}",
+                operation=operation,
                 style=style,
                 model_mbps=estimate,
                 measured_mbps=measured,
@@ -110,6 +134,8 @@ def model_accuracy(machine: Machine, nbytes: int = 128 * 1024) -> AccuracyReport
             cases.append(case)
             per_style[style] = case
 
+        if len(per_style) < len(OperationStyle):
+            continue
         total += 1
         packing = per_style[OperationStyle.BUFFER_PACKING]
         chained = per_style[OperationStyle.CHAINED]
@@ -123,4 +149,5 @@ def model_accuracy(machine: Machine, nbytes: int = 128 * 1024) -> AccuracyReport
         cases=tuple(cases),
         ranking_agreements=agreements,
         ranking_total=total,
+        skipped=tuple(skipped),
     )

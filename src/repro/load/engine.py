@@ -50,7 +50,8 @@ from .dispatch import policy_by_name
 from .latency import LatencyStore
 from .overload import OverloadSpec, admission_by_name
 from .queues import Station
-from .workload import ClosedLoopSpec, LoadProfile, RequestTemplate, uniform
+from .report import GENERATOR_KEYS
+from .workload import LoadProfile, RequestTemplate, uniform
 
 __all__ = ["LoadEngine", "LoadResult"]
 
@@ -80,6 +81,7 @@ class _Request:
         issue: int,
         template: RequestTemplate,
         arrival_ns: float,
+        attempt: int,
     ) -> None:
         self.identity = identity
         self.generator = generator
@@ -91,7 +93,7 @@ class _Request:
         self.transit_ns = 0.0
         self.wire_at = 0
         self.leg = 0
-        self.attempt = 0
+        self.attempt = attempt
 
 
 @dataclass
@@ -137,8 +139,8 @@ class LoadResult:
             "stations": self.stations,
             "faults": self.faults.to_dict() if self.faults else None,
         }
-        # Only protected runs carry the overload section; unprotected
-        # reports stay byte-identical to the pre-protection engine.
+        # Only protected runs carry the overload section: an
+        # unprotected run admits everything and drops nothing.
         if self.overload is not None:
             payload["overload"] = self.overload
         return payload
@@ -289,7 +291,7 @@ class LoadEngine:
                 ):
                     events.append((
                         time_ns, _ARRIVE, (spec.name, seq), 0,
-                        (spec.name, -1, seq, template),
+                        (spec.name, -1, seq, template, 0),
                     ))
             return events
 
@@ -315,14 +317,18 @@ class LoadEngine:
         requests complete, so the latency distribution is never
         censored by the cut-off.
 
-        When the profile carries a non-noop
-        :class:`~repro.load.overload.OverloadSpec` (or any template
-        sets a deadline), the run switches to the *protected* event
-        path: admission control before pricing, bounded stations,
+        Every run goes through one event loop: admission control
+        before pricing, stations bounded by the spec's capacity,
         deadline shedding at pop time, and per-link circuit breakers.
-        The unprotected path executes exactly the pre-protection code —
-        same calls, same accounting — so protection-off reports are
-        byte-identical and pay no hot-path cost.
+        No spec at all behaves as the no-op
+        :class:`~repro.load.overload.OverloadSpec` — ``none``
+        admission, unbounded stations, no breakers — under which every
+        arrival is admitted and nothing is dropped.  The run counts as
+        *protected* when the spec is not a no-op or a template sets a
+        deadline; only then does the report carry the ``overload``
+        section and the station drop tallies, and only then is a
+        :class:`~repro.core.errors.TransferAbortedError` counted as a
+        ``broken`` request rather than raised.
         """
         if horizon_ns <= 0.0:
             raise ModelError("load duration must be positive")
@@ -330,40 +336,28 @@ class LoadEngine:
         policy = policy_by_name(profile.dispatch, profile.nodes, self.seed)
         heappush, heappop = heapq.heappush, heapq.heappop
 
-        ospec = profile.overload
-        protected = (ospec is not None and not ospec.is_noop()) or any(
+        ospec = profile.overload or OverloadSpec()
+        protected = not ospec.is_noop() or any(
             template.deadline_ns > 0.0
             for spec in profile.generators
             for template in spec.templates
         )
-        if protected and ospec is None:
-            ospec = OverloadSpec()
-        admission = admission_by_name(ospec, self.seed) if protected else None
+        admission = admission_by_name(ospec, self.seed)
         board: Optional[BreakerBoard] = None
-        derate_trip = 0.0
-        retry_mode = False
-        retry_budget = 1.0
-        capacity: Optional[int] = None
-        if protected:
-            if ospec.breakers_enabled():
-                board = BreakerBoard(
-                    ospec.breaker_threshold,
-                    ospec.breaker_cooldown_ns,
-                    ospec.breaker_probes,
-                )
-                derate_trip = ospec.breaker_derate_trip
-            retry_mode = (
-                ospec.reject_retry == "backoff" and ospec.max_retries > 0
+        if ospec.breakers_enabled():
+            board = BreakerBoard(
+                ospec.breaker_threshold,
+                ospec.breaker_cooldown_ns,
+                ospec.breaker_probes,
             )
-            retry_budget = ospec.retry_budget
-            if self.faults is not None:
-                # The stricter of the load spec's and the fault plan's
-                # budgets wins: neither layer can retry-storm the other.
-                retry_budget = min(
-                    retry_budget, self.faults.retry.retry_budget
-                )
-            if ospec.station_capacity > 0:
-                capacity = ospec.station_capacity
+        derate_trip = ospec.breaker_derate_trip
+        retry_mode = ospec.reject_retry == "backoff" and ospec.max_retries > 0
+        retry_budget = ospec.retry_budget
+        if self.faults is not None:
+            # The stricter of the load spec's and the fault plan's
+            # budgets wins: neither layer can retry-storm the other.
+            retry_budget = min(retry_budget, self.faults.retry.retry_budget)
+        capacity = ospec.station_capacity or None
 
         stations: Dict[Tuple[int, str], Station] = {}
         for node in range(profile.nodes):
@@ -372,6 +366,8 @@ class LoadEngine:
                     f"node{node}/{kind}", profile.discipline, capacity
                 )
         node_backlog = [0] * profile.nodes
+        nics = [stations[(node, _NIC)] for node in range(profile.nodes)]
+        admit, observe = admission.admit, admission.observe
 
         heap: List[Any] = self._open_arrivals(horizon_ns, workers)
         heapq.heapify(heap)
@@ -380,25 +376,21 @@ class LoadEngine:
             for client in range(spec.clients):
                 heappush(heap, (
                     0.0, _ARRIVE, (spec.name, client, 0), 0,
-                    (spec.name, client, 0, spec.pick(self.seed, client, 0)),
+                    (
+                        spec.name, client, 0,
+                        spec.pick(self.seed, client, 0), 0,
+                    ),
                 ))
-        spec_by_name = {spec.name: spec for spec in profile.generators}
+        closed_by_name = {spec.name: spec for spec in profile.closed_loops}
 
         tracer = current_tracer()
         latencies = LatencyStore()
-        offered = 0
-        completed = 0
         events = 0
         end_ns = 0.0
-        # Protected-path accounting (untouched on the unprotected path).
         gen_counts: Dict[str, Dict[str, int]] = {
-            spec.name: {
-                "offered": 0, "accepted": 0, "completed": 0,
-                "rejected": 0, "evicted": 0, "shed": 0, "broken": 0,
-                "retried": 0,
-            }
+            spec.name: dict.fromkeys(GENERATOR_KEYS, 0)
             for spec in profile.generators
-        } if protected else {}
+        }
         inflight = 0
         retries_pending = 0
 
@@ -409,25 +401,6 @@ class LoadEngine:
                 return
             (node, kind), service_ns = request.legs[request.leg]
             station = stations[(node, kind)]
-            if not protected:
-                node_backlog[node] += 1
-                if station.idle:
-                    done_ns = station.start(now_ns, service_ns)
-                    heappush(heap, (
-                        done_ns, _DONE, request.identity, request.leg,
-                        request,
-                    ))
-                else:
-                    station.enqueue(
-                        now_ns, request.template.priority,
-                        request.identity, request,
-                    )
-                    if tracer is not None:
-                        tracer.observe(
-                            f"load.depth/{station.name}",
-                            float(station.depth()),
-                        )
-                return
             if station.idle:
                 node_backlog[node] += 1
                 done_ns = station.start(now_ns, service_ns)
@@ -461,47 +434,17 @@ class LoadEngine:
             else:
                 enter_leg(now_ns, request)
 
-        def complete(now_ns: float, request: _Request) -> None:
-            nonlocal completed, inflight
-            completed += 1
-            latency_ns = now_ns - request.arrival_ns
-            latencies.record(latency_ns)
-            if protected:
-                inflight -= 1
-                gen_counts[request.generator]["completed"] += 1
-                admission.observe(now_ns, latency_ns)
-            if tracer is not None:
-                tracer.count("load.completed")
-                tracer.observe("load.latency_ns", latency_ns)
-            spec = spec_by_name[request.generator]
-            if isinstance(spec, ClosedLoopSpec):
-                issue = request.issue + 1
-                next_ns = now_ns + spec.think(
-                    self.seed, request.client, issue
-                )
-                if next_ns < horizon_ns:
-                    heappush(heap, (
-                        next_ns, _ARRIVE,
-                        (request.generator, request.client, issue), 0,
-                        (
-                            request.generator, request.client, issue,
-                            spec.pick(self.seed, request.client, issue),
-                        ),
-                    ))
-
-        # -- protected-path helpers (never called unprotected) ----------
-
-        def continue_closed(
+        def reissue(
             now_ns: float, generator: str, client: int, issue: int
         ) -> None:
-            """Keep a closed-loop client alive past a dropped request.
+            """A closed-loop client thinks, then issues its next request.
 
-            A closed loop reissues on completion; a request that is
-            rejected or shed never completes, so without this the
-            client would silently die and the loop would starve.
+            Called when a request leaves the system for good — completed
+            or terminally dropped — so a rejected or shed request cannot
+            silently kill its client and starve the loop.
             """
-            spec = spec_by_name[generator]
-            if not isinstance(spec, ClosedLoopSpec):
+            spec = closed_by_name.get(generator)
+            if spec is None:
                 return
             nxt = issue + 1
             next_ns = now_ns + spec.think(self.seed, client, nxt)
@@ -510,9 +453,21 @@ class LoadEngine:
                     next_ns, _ARRIVE, (generator, client, nxt), 0,
                     (
                         generator, client, nxt,
-                        spec.pick(self.seed, client, nxt),
+                        spec.pick(self.seed, client, nxt), 0,
                     ),
                 ))
+
+        def complete(now_ns: float, request: _Request) -> None:
+            nonlocal inflight
+            inflight -= 1
+            gen_counts[request.generator]["completed"] += 1
+            latency_ns = now_ns - request.arrival_ns
+            latencies.record(latency_ns)
+            observe(now_ns, latency_ns)
+            if tracer is not None:
+                tracer.count("load.completed")
+                tracer.observe("load.latency_ns", latency_ns)
+            reissue(now_ns, request.generator, request.client, request.issue)
 
         def retry_or_drop(
             now_ns: float,
@@ -559,7 +514,7 @@ class LoadEngine:
                 if tracer is not None:
                     tracer.count("load.retried")
             else:
-                continue_closed(now_ns, generator, client, issue)
+                reissue(now_ns, generator, client, issue)
 
         def drop_midroute(now_ns: float, request: _Request) -> None:
             """A queued request lost its slot (bounded-station reject).
@@ -587,9 +542,7 @@ class LoadEngine:
             gen_counts[request.generator]["shed"] += 1
             if tracer is not None:
                 tracer.count("load.shed")
-            continue_closed(
-                now_ns, request.generator, request.client, request.issue
-            )
+            reissue(now_ns, request.generator, request.client, request.issue)
 
         while heap:
             time_ns, kind, identity, leg, payload = heappop(heap)
@@ -597,40 +550,16 @@ class LoadEngine:
             end_ns = time_ns
 
             if kind == _ARRIVE:
-                if not protected:
-                    generator, client, issue, template = payload
-                    offered += 1
-                    src = self._home(generator)
-                    dst = policy.pick(
-                        src, generator, client, template.name, node_backlog,
-                    )
-                    request = _Request(
-                        identity, generator, client, issue, template,
-                        time_ns,
-                    )
-                    request.legs, request.transit_ns, wire_at = (
-                        self._fill_route(template, src, dst)
-                    )
-                    request.wire_at = wire_at
-                    advance(time_ns, request)
-                    continue
-
-                generator, client, issue, template = payload[:4]
-                attempt = payload[4] if len(payload) > 4 else 0
+                generator, client, issue, template, attempt = payload
                 counts = gen_counts[generator]
                 if attempt:
                     retries_pending -= 1
-                    base_identity = identity[:-1]
+                    identity = identity[:-1]
                 else:
-                    offered += 1
                     counts["offered"] += 1
-                    base_identity = identity
                 src = self._home(generator)
                 verdict = None
-                route = None
-                if not admission.admit(
-                    time_ns, stations[(src, _NIC)].backlog(), base_identity
-                ):
+                if not admit(time_ns, nics[src].backlog(), identity):
                     verdict = "rejected"
                 else:
                     dst = policy.pick(
@@ -653,6 +582,8 @@ class LoadEngine:
                         try:
                             route = self._fill_route(template, src, dst)
                         except TransferAbortedError:
+                            if not protected:
+                                raise
                             verdict = "broken"
                             if breaker is not None:
                                 breaker.record_failure(time_ns)
@@ -663,10 +594,9 @@ class LoadEngine:
                     counts["accepted"] += 1
                     inflight += 1
                     request = _Request(
-                        base_identity, generator, client, issue, template,
-                        time_ns,
+                        identity, generator, client, issue, template,
+                        time_ns, attempt,
                     )
-                    request.attempt = attempt
                     request.legs, request.transit_ns, request.wire_at = (
                         route
                     )
@@ -676,7 +606,7 @@ class LoadEngine:
                     if tracer is not None:
                         tracer.count(f"load.{verdict}")
                     retry_or_drop(
-                        time_ns, base_identity, generator, client, issue,
+                        time_ns, identity, generator, client, issue,
                         template, attempt,
                     )
                 continue
@@ -685,57 +615,56 @@ class LoadEngine:
                 enter_leg(time_ns, payload)
                 continue
 
-            # _DONE: free the station, pull the next waiter, advance.
+            # _DONE: free the station; if anyone waits, shed the
+            # expired waiters and serve the next live one; advance.
             request = payload
             (node, station_kind), __ = request.legs[request.leg]
             station = stations[(node, station_kind)]
             station.release()
             node_backlog[node] -= 1
-            if protected:
+            if station.depth():
                 expired, waiter = station.pop_live(time_ns)
                 for dead in expired:
                     node_backlog[node] -= 1
                     shed_request(time_ns, dead)
-            else:
-                waiter = station.pop(time_ns)
-            if waiter is not None:
-                enqueued_ns, next_request = waiter
-                wait_service = next_request.legs[next_request.leg][1]
-                done_ns = station.start(time_ns, wait_service)
-                heappush(heap, (
-                    done_ns, _DONE, next_request.identity,
-                    next_request.leg, next_request,
-                ))
-                if tracer is not None:
-                    tracer.observe(
-                        "load.queue_wait_ns", time_ns - enqueued_ns
-                    )
+                if waiter is not None:
+                    enqueued_ns, next_request = waiter
+                    wait_service = next_request.legs[next_request.leg][1]
+                    done_ns = station.start(time_ns, wait_service)
+                    heappush(heap, (
+                        done_ns, _DONE, next_request.identity,
+                        next_request.leg, next_request,
+                    ))
+                    if tracer is not None:
+                        tracer.observe(
+                            "load.queue_wait_ns", time_ns - enqueued_ns
+                        )
             request.leg += 1
             advance(time_ns, request)
 
+        totals = {
+            key: sum(counts[key] for counts in gen_counts.values())
+            for key in GENERATOR_KEYS
+        }
         overload_summary: Optional[Dict[str, Any]] = None
         if protected:
-            totals = {
-                key: sum(counts[key] for counts in gen_counts.values())
-                for key in (
-                    "accepted", "rejected", "evicted", "shed", "broken",
-                    "retried",
-                )
-            }
-            goodput = (
-                completed / end_ns * 1e9 if end_ns > 0.0 else 0.0
-            )
             overload_summary = {
                 "schema": "repro-load-overload/1",
                 "spec": ospec.to_dict(),
                 "admission": admission.describe(),
                 "generators": gen_counts,
-                "totals": totals,
+                "totals": {
+                    key: totals[key] for key in GENERATOR_KEYS
+                    if key not in ("offered", "completed")
+                },
                 "goodput": {
-                    "offered": offered,
+                    "offered": totals["offered"],
                     "accepted": totals["accepted"],
-                    "completed": completed,
-                    "goodput_per_s": goodput,
+                    "completed": totals["completed"],
+                    "goodput_per_s": (
+                        totals["completed"] / end_ns * 1e9
+                        if end_ns > 0.0 else 0.0
+                    ),
                 },
                 "breakers": board.summary() if board is not None else {},
             }
@@ -745,8 +674,8 @@ class LoadEngine:
             seed=self.seed,
             horizon_ns=horizon_ns,
             end_ns=end_ns,
-            offered=offered,
-            completed=completed,
+            offered=totals["offered"],
+            completed=totals["completed"],
             latency=latencies.summary(),
             stations={
                 station.name: station.summary(end_ns, overload=protected)

@@ -50,9 +50,9 @@ class OverloadSpec:
     """Overload-protection configuration for one load profile.
 
     The default instance is a no-op (:meth:`is_noop`): admission
-    ``none``, unbounded stations, breakers off — and the engine treats
-    a no-op spec exactly like no spec at all, so the protection-off
-    report stays byte-identical to the unprotected engine's.
+    ``none``, unbounded stations, breakers off.  A profile without a
+    spec runs under it, so no spec and a no-op spec give the same
+    run and the same report.
 
     Attributes:
         admission: One of :data:`ADMISSION_POLICIES`.
@@ -72,7 +72,7 @@ class OverloadSpec:
             otherwise.
         p99_ceiling_ns: Declared bound on reported p99 (0 = none).
             Not enforced by the engine; the latency-curve knee report
-            and the overload CI job assert against it.
+            and the CI load job assert against it.
         reject_retry: ``"drop"`` (open-loop semantics: a rejected
             request is lost) or ``"backoff"`` (closed-loop semantics:
             the request re-arrives after a seeded exponential backoff,
@@ -178,10 +178,14 @@ class OverloadSpec:
             )
 
     def is_noop(self) -> bool:
-        """True when this spec changes nothing about the engine.
+        """True when this spec can never refuse or drop a request.
 
-        A no-op spec is treated exactly like ``overload=None``, which
-        is what keeps ``--admission none`` byte-identical to PR 8.
+        Under a no-op spec — ``none`` admission, unbounded stations,
+        no breakers — every arrival is admitted and served, exactly
+        as with ``overload=None``.  Unless a template sets a deadline,
+        the run is then unprotected: its report carries no
+        ``overload`` section and a transfer aborted by the fault plan
+        ends the run instead of counting as ``broken``.
         """
         return (
             self.admission == "none"

@@ -13,18 +13,18 @@ queue under a discipline — ``fifo`` (arrival order) or ``priority``
 priority) — with fully deterministic ordering: ties break on the
 request's content-derived identity, never on insertion order.
 
-Stations are unbounded by default — exactly the PR-8 behavior, on
-exactly the PR-8 code path (:meth:`enqueue` / :meth:`pop`).  The
-overload-protection layer (``docs/LOAD.md``) instead drives the
-bounded API:
+A station has one enqueue and one pop, used by every load run:
 
-* ``capacity`` bounds the *waiting line* (the request in service does
-  not count); :meth:`offer` makes the deterministic reject-vs-accept
-  decision at enqueue time, evicting the worst waiter on a full
-  ``priority`` station when the newcomer outranks it;
+* :meth:`offer` adds a waiter.  ``capacity`` bounds the *waiting line*
+  (the request in service does not count); on an unbounded station
+  (``capacity=None``, the default) every offer is accepted, otherwise
+  :meth:`offer` makes the deterministic reject-vs-accept decision,
+  evicting the worst waiter on a full ``priority`` station when the
+  newcomer outranks it;
 * :meth:`pop_live` sheds expired waiters — queue wait beyond the
-  entry's deadline — at pop time, with exact accounting (``shed``,
-  ``shed_wait_ns``).
+  entry's deadline — then pops the next live one, with exact
+  accounting (``shed``, ``shed_wait_ns``).  Entries without a deadline
+  never expire, so with no deadlines it is a plain pop.
 
 Accounting is exact, not sampled: busy time integrates utilization and
 the queue-depth integral yields the time-averaged depth; reject and
@@ -38,9 +38,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["Station"]
 
-#: Queue entry: (priority, enqueue_ns, request identity, payload) on
-#: the unbounded path; the bounded path appends a fifth element, the
-#: entry's deadline_ns (0.0 = none).  Both shapes share indices 0-3.
+#: Queue entry: (rank, enqueue_ns, request identity, payload,
+#: deadline_ns); a deadline of 0.0 means none.
 _Entry = Tuple[Any, ...]
 
 
@@ -51,8 +50,7 @@ class Station:
         name: Reporting label, e.g. ``"node3/nic"``.
         discipline: ``"fifo"`` or ``"priority"``.
         capacity: Waiting-line bound consulted by :meth:`offer`
-            (``None`` = unbounded; the plain :meth:`enqueue` path
-            never checks it).
+            (``None`` = unbounded).
     """
 
     def __init__(
@@ -83,25 +81,6 @@ class Station:
         self._depth_integral += len(self._queue) * (now_ns - self._depth_clock)
         self._depth_clock = now_ns
 
-    def enqueue(
-        self,
-        now_ns: float,
-        priority: int,
-        identity: Tuple[int, int],
-        payload: Any,
-    ) -> None:
-        """Add a request to the waiting line (unbounded fast path).
-
-        ``identity`` is the request's ``(generator, sequence)`` pair —
-        a content-derived key, so two stations fed the same requests in
-        different orders still serve them identically.
-        """
-        self._account_depth(now_ns)
-        rank = priority if self.discipline == "priority" else 0
-        heapq.heappush(self._queue, (rank, now_ns, identity, payload))
-        if len(self._queue) > self.max_depth:
-            self.max_depth = len(self._queue)
-
     def offer(
         self,
         now_ns: float,
@@ -110,16 +89,18 @@ class Station:
         payload: Any,
         deadline_ns: float = 0.0,
     ) -> Tuple[bool, Optional[Any]]:
-        """Bounded enqueue: ``(accepted, evicted payload)``.
+        """Add a waiter: ``(accepted, evicted payload)``.
 
-        At capacity, a ``fifo`` station rejects the newcomer outright.
-        A ``priority`` station compares the newcomer against the worst
-        waiter — highest ``(rank, enqueue time, identity)``, the exact
-        inverse of service order — and evicts that waiter when the
-        newcomer strictly outranks it (sheds lowest-priority first),
-        rejecting the newcomer otherwise.  Both outcomes bump
-        ``rejected``; the decision depends only on queue content, so
-        replays are bit-identical.
+        ``identity`` is the request's content-derived key, so two
+        stations fed the same requests in different orders still serve
+        them identically.  At capacity, a ``fifo`` station rejects the
+        newcomer outright.  A ``priority`` station compares the
+        newcomer against the worst waiter — highest ``(rank, enqueue
+        time, identity)``, the exact inverse of service order — and
+        evicts that waiter when the newcomer strictly outranks it
+        (sheds lowest-priority first), rejecting the newcomer
+        otherwise.  Both outcomes bump ``rejected``; the decision
+        depends only on queue content, so replays are bit-identical.
         """
         self._account_depth(now_ns)
         rank = priority if self.discipline == "priority" else 0
@@ -142,14 +123,6 @@ class Station:
             self.max_depth = len(self._queue)
         return True, None
 
-    def pop(self, now_ns: float) -> Optional[Tuple[float, Any]]:
-        """``(enqueue time, request)`` next in line, ``None`` when empty."""
-        if not self._queue:
-            return None
-        self._account_depth(now_ns)
-        entry = heapq.heappop(self._queue)
-        return entry[1], entry[3]
-
     def pop_live(
         self, now_ns: float
     ) -> Tuple[List[Any], Optional[Tuple[float, Any]]]:
@@ -167,7 +140,7 @@ class Station:
         self._account_depth(now_ns)
         while self._queue:
             entry = heapq.heappop(self._queue)
-            deadline_ns = entry[4] if len(entry) > 4 else 0.0
+            deadline_ns = entry[4]
             wait_ns = now_ns - entry[1]
             if deadline_ns > 0.0 and wait_ns > deadline_ns:
                 self.shed += 1
@@ -208,9 +181,9 @@ class Station:
     ) -> Dict[str, Any]:
         """Exact utilization / depth statistics over ``duration_ns``.
 
-        ``overload=True`` (the protected engine) adds the bounded-path
-        tallies — ``rejected`` / ``shed`` / ``shed_wait_ns`` — keeping
-        the unprotected report byte-identical to PR 8.
+        ``overload=True`` (a protected run) adds the drop tallies —
+        ``rejected`` / ``shed`` / ``shed_wait_ns``; an unprotected run
+        cannot drop anything, so its report leaves them out.
         """
         self._account_depth(duration_ns)
         span = duration_ns if duration_ns > 0.0 else 1.0

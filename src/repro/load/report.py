@@ -20,8 +20,14 @@ The load CLI emits one JSON object per run.  The CI load job replays
   ``repro-load-overload/1`` section with the protection spec, the
   admission policy's self-description, per-generator accept / reject /
   shed / broken / retry tallies, goodput, and per-link breaker states.
-  Unprotected reports omit the key entirely, keeping them
-  byte-identical to the pre-protection format.
+
+Every run goes through the same event loop; a run without an
+``OverloadSpec`` runs under the no-op spec (``none`` admission,
+unbounded stations, no breakers).  A run is *protected* when its spec
+is not a no-op or a template sets a deadline.  Other runs cannot drop
+a request, so their reports leave out the ``overload`` key and the
+station drop tallies, and stay byte-identical to the pre-protection
+format.
 
 Wall-clock facts (events/sec, elapsed seconds) are *not* part of the
 payload: the canonical JSON below must be bit-identical across
@@ -35,6 +41,7 @@ import json
 from typing import Any, List
 
 __all__ = [
+    "GENERATOR_KEYS",
     "OVERLOAD_SCHEMA",
     "SCHEMA",
     "canonical_json",
@@ -50,7 +57,8 @@ _LATENCY_KEYS = ("count", "mean", "min", "max", "p50", "p99", "p999")
 
 _STATION_KEYS = ("served", "busy_ns", "utilization", "mean_depth", "max_depth")
 
-_GENERATOR_KEYS = (
+#: Per-generator request tallies of the ``overload`` section, in order.
+GENERATOR_KEYS = (
     "offered", "accepted", "completed", "rejected", "evicted", "shed",
     "broken", "retried",
 )
@@ -180,7 +188,7 @@ def _validate_overload(section: Any) -> List[str]:
             if not isinstance(counts, dict):
                 errors.append(f"overload.generators[{name!r}]: not an object")
                 continue
-            for key in _GENERATOR_KEYS:
+            for key in GENERATOR_KEYS:
                 value = counts.get(key)
                 if not isinstance(value, int) or value < 0:
                     errors.append(

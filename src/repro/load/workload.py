@@ -76,9 +76,10 @@ class RequestTemplate:
         priority: Queueing priority — lower runs first under the
             ``priority`` discipline; ties fall back to arrival order.
         deadline_ns: Maximum *queue wait* a request of this shape will
-            tolerate at any one station before the protected engine
-            sheds it at pop time (0 = no deadline).  Ignored — at zero
-            cost — by the unprotected engine.
+            tolerate at any one station before the engine sheds it
+            at pop time (0 = no deadline).  A deadline on any template
+            makes the run protected (see
+            :meth:`repro.load.engine.LoadEngine.run`).
     """
 
     name: str
@@ -272,9 +273,9 @@ class LoadProfile:
             ``"priority"``.
         congestion: Network congestion the pricing transfers assume.
         overload: Optional overload-protection configuration
-            (:class:`~repro.load.overload.OverloadSpec`).  ``None`` —
-            and a spec whose :meth:`~OverloadSpec.is_noop` is true —
-            leaves the engine on the exact unprotected code path.
+            (:class:`~repro.load.overload.OverloadSpec`).  ``None``
+            runs under the no-op spec, so it and a spec whose
+            :meth:`~OverloadSpec.is_noop` is true give the same report.
     """
 
     name: str

@@ -63,3 +63,22 @@ class TestAssessment:
     def test_rankings_consistent(self, t3d_machine):
         report = model_accuracy(t3d_machine, nbytes=32 * 1024)
         assert report.ranking_accuracy == 1.0
+
+    def test_infeasible_style_is_skipped_and_reported(self):
+        from repro.machines.registry import MACHINE_FACTORIES
+
+        machine = MACHINE_FACTORIES["t3d-contiguous-deposits"]()
+        report = model_accuracy(machine, nbytes=32 * 1024)
+        assert report.skipped, "strided deposits cannot be chained here"
+        skipped_ops = {operation for operation, __, __ in report.skipped}
+        assert all(reason for __, __, reason in report.skipped)
+        # Every grid cell is either measured or skipped, never both.
+        measured = {(case.operation, case.style) for case in report.cases}
+        skipped = {(operation, style) for operation, style, __ in report.skipped}
+        assert not measured & skipped
+        assert len(measured) + len(skipped) == 32
+        # A pair missing a style cannot be ranked.
+        assert report.ranking_total == 16 - len(skipped_ops)
+        text = report.render()
+        assert f"skipped {len(report.skipped)} infeasible cells" in text
+        assert all(operation in text for operation in skipped_ops)

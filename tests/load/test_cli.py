@@ -89,6 +89,23 @@ class TestLoadCommand:
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
 
+    def test_aborted_transfer_is_one_line_error(self, capsys, tmp_path):
+        from repro.faults import FaultPlan, FragmentFault, RetryPolicy
+
+        lossy = tmp_path / "lossy.json"
+        lossy.write_text(json.dumps(FaultPlan(
+            seed=3,
+            fragments=(FragmentFault(loss=0.9),),
+            retry=RetryPolicy(max_attempts=2, retry_budget=0.5),
+        ).to_dict()))
+        assert main([
+            "load", "--seed", "7", "--duration", "0.02",
+            "--plan", str(lossy),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestOverloadFlags:
     def test_protected_report_carries_overload_section(self, capsys):

@@ -12,7 +12,8 @@ import dataclasses
 
 import pytest
 
-from repro.core.errors import LoadError
+from repro.core.errors import LoadError, TransferAbortedError
+from repro.faults import FaultPlan, FragmentFault, RetryPolicy
 from repro.load import (
     LoadEngine,
     OverloadSpec,
@@ -28,6 +29,13 @@ from repro.load.overload import (
 )
 
 _HORIZON = 10_000_000.0
+
+#: Nine fragments in ten lost, two attempts: most transfers abort.
+_LOSSY = FaultPlan(
+    seed=3,
+    fragments=(FragmentFault(loss=0.9),),
+    retry=RetryPolicy(max_attempts=2, retry_budget=0.5),
+)
 
 #: Canonical seed-7 digests of the pre-protection engine.  The
 #: protection-off path must reproduce these byte for byte.
@@ -167,12 +175,30 @@ class TestProtectionOffIdentity:
         assert result.digest() == _PINNED[name]
         assert "overload" not in result.to_dict()
 
-    def test_noop_spec_is_byte_identical_to_no_spec(self):
-        profile = profile_by_name("steady")
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_noop_spec_is_byte_identical_to_no_spec(self, name):
+        profile = profile_by_name(name)
         with_noop = dataclasses.replace(profile, overload=OverloadSpec())
         plain = LoadEngine(profile, seed=7).run(_HORIZON)
         noop = LoadEngine(with_noop, seed=7).run(_HORIZON)
         assert noop.canonical_json() == plain.canonical_json()
+
+
+class TestAbortedTransfers:
+    """An aborted transfer escapes an unprotected run; protection counts it."""
+
+    def test_unprotected_run_raises(self):
+        engine = LoadEngine(profile_by_name("steady"), seed=7, faults=_LOSSY)
+        with pytest.raises(TransferAbortedError):
+            engine.run(2e7)
+
+    def test_protected_run_counts_aborts_as_broken(self):
+        profile = dataclasses.replace(
+            profile_by_name("steady"),
+            overload=OverloadSpec(admission="bounded-queue"),
+        )
+        result = LoadEngine(profile, seed=7, faults=_LOSSY).run(2e7)
+        assert result.to_dict()["overload"]["totals"]["broken"] > 0
 
 
 class TestProtectedEngine:
@@ -285,13 +311,7 @@ class TestProtectedEngine:
         assert retry.completed > drop.completed
 
     def test_breakers_open_under_a_lossy_fault_plan(self):
-        from repro.faults import FaultPlan, FragmentFault, RetryPolicy
-
-        plan = FaultPlan(
-            seed=3,
-            fragments=(FragmentFault(loss=0.9),),
-            retry=RetryPolicy(max_attempts=2, retry_budget=0.5),
-        )
+        plan = _LOSSY
         profile = _protected(breaker_threshold=2, breaker_cooldown_ns=2e6)
         result = LoadEngine(profile, seed=7, faults=plan).run(_HORIZON * 2)
         section = result.to_dict()["overload"]

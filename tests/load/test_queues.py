@@ -3,31 +3,38 @@
 from repro.load import Station
 
 
+def _pop(station, now_ns):
+    """``pop_live`` on a line without deadlines: nothing is ever shed."""
+    shed, waiter = station.pop_live(now_ns)
+    assert shed == []
+    return waiter
+
+
 class TestDisciplines:
     def test_fifo_serves_in_arrival_order(self):
         station = Station("s", "fifo")
-        station.enqueue(0.0, priority=5, identity=(0, 0), payload="first")
-        station.enqueue(1.0, priority=0, identity=(0, 1), payload="second")
-        assert station.pop(2.0)[1] == "first"
-        assert station.pop(2.0)[1] == "second"
+        station.offer(0.0, priority=5, identity=(0, 0), payload="first")
+        station.offer(1.0, priority=0, identity=(0, 1), payload="second")
+        assert _pop(station, 2.0)[1] == "first"
+        assert _pop(station, 2.0)[1] == "second"
 
     def test_priority_orders_by_priority_then_arrival(self):
         station = Station("s", "priority")
-        station.enqueue(0.0, priority=1, identity=(0, 0), payload="bulk")
-        station.enqueue(1.0, priority=0, identity=(0, 1), payload="urgent")
-        station.enqueue(2.0, priority=0, identity=(0, 2), payload="urgent2")
-        assert station.pop(3.0)[1] == "urgent"
-        assert station.pop(3.0)[1] == "urgent2"
-        assert station.pop(3.0)[1] == "bulk"
+        station.offer(0.0, priority=1, identity=(0, 0), payload="bulk")
+        station.offer(1.0, priority=0, identity=(0, 1), payload="urgent")
+        station.offer(2.0, priority=0, identity=(0, 2), payload="urgent2")
+        assert _pop(station, 3.0)[1] == "urgent"
+        assert _pop(station, 3.0)[1] == "urgent2"
+        assert _pop(station, 3.0)[1] == "bulk"
 
     def test_equal_keys_break_on_identity(self):
         station = Station("s", "priority")
-        station.enqueue(0.0, priority=0, identity=(1, 9), payload="b")
-        station.enqueue(0.0, priority=0, identity=(0, 3), payload="a")
-        assert station.pop(1.0)[1] == "a"
+        station.offer(0.0, priority=0, identity=(1, 9), payload="b")
+        station.offer(0.0, priority=0, identity=(0, 3), payload="a")
+        assert _pop(station, 1.0)[1] == "a"
 
     def test_pop_empty_returns_none(self):
-        assert Station("s").pop(0.0) is None
+        assert _pop(Station("s"), 0.0) is None
 
 
 class TestAccounting:
@@ -48,10 +55,10 @@ class TestAccounting:
     def test_depth_integral_is_exact(self):
         station = Station("s")
         # One waiter for [0, 10), two for [10, 20), none after.
-        station.enqueue(0.0, 0, (0, 0), "a")
-        station.enqueue(10.0, 0, (0, 1), "b")
-        station.pop(20.0)
-        station.pop(20.0)
+        station.offer(0.0, 0, (0, 0), "a")
+        station.offer(10.0, 0, (0, 1), "b")
+        _pop(station, 20.0)
+        _pop(station, 20.0)
         summary = station.summary(40.0)
         # Integral: 1*10 + 2*10 = 30 over 40 ns.
         assert summary["mean_depth"] == 30.0 / 40.0
@@ -61,7 +68,7 @@ class TestAccounting:
         station = Station("s")
         assert station.backlog() == 0
         station.start(0.0, 1.0)
-        station.enqueue(0.0, 0, (0, 0), "a")
+        station.offer(0.0, 0, (0, 0), "a")
         assert station.backlog() == 2
 
 
@@ -81,8 +88,8 @@ class TestBoundedOffer:
         assert not accepted and evicted is None
         assert station.rejected == 1
         # The line is untouched: still a then b.
-        assert station.pop(3.0)[1] == "a"
-        assert station.pop(3.0)[1] == "b"
+        assert _pop(station, 3.0)[1] == "a"
+        assert _pop(station, 3.0)[1] == "b"
 
     def test_priority_evicts_the_worst_waiter(self):
         station = Station("s", "priority", capacity=2)
@@ -92,15 +99,15 @@ class TestBoundedOffer:
         assert accepted
         assert evicted == "bulk"             # lowest priority shed first
         assert station.rejected == 1
-        assert station.pop(3.0)[1] == "urgent"
-        assert station.pop(3.0)[1] == "urgent2"
+        assert _pop(station, 3.0)[1] == "urgent"
+        assert _pop(station, 3.0)[1] == "urgent2"
 
     def test_priority_rejects_newcomer_no_better_than_worst(self):
         station = Station("s", "priority", capacity=1)
         station.offer(0.0, 1, (0, 0), "earlier")
         accepted, evicted = station.offer(1.0, 1, (0, 1), "later")
         assert not accepted and evicted is None
-        assert station.pop(2.0)[1] == "earlier"
+        assert _pop(station, 2.0)[1] == "earlier"
 
     def test_capacity_bounds_the_waiting_line_not_the_server(self):
         station = Station("s", "fifo", capacity=1)

@@ -204,7 +204,7 @@ _STATION_OPS = st.lists(
 @given(
     ops=_STATION_OPS,
     discipline=st.sampled_from(["fifo", "priority"]),
-    capacity=st.integers(min_value=1, max_value=4),
+    capacity=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
 )
 @settings(max_examples=40, deadline=None)
 def test_station_accounting_is_exact_under_bounded_interleavings(
@@ -214,7 +214,8 @@ def test_station_accounting_is_exact_under_bounded_interleavings(
     station's exact accounting holds: the waiting line never exceeds
     capacity, every accepted request is eventually popped, shed, still
     queued, or was evicted, and the depth integral equals the step
-    function an independent model integrates."""
+    function an independent model integrates.  An unbounded station
+    (``capacity=None``) accepts every offer."""
     station = Station("s", discipline, capacity=capacity)
     now = 0.0
     integral = 0.0
@@ -244,7 +245,9 @@ def test_station_accounting_is_exact_under_bounded_interleavings(
                 popped += 1
         peak = max(peak, depth)
         assert station.depth() == depth
-        assert depth <= capacity
+        assert capacity is None or depth <= capacity
+    if capacity is None:
+        assert newcomer_rejects == evictions == 0
     # Conservation: nothing vanishes, nothing is double-counted.
     assert accepted == popped + station.shed + station.depth() + evictions
     assert station.rejected == newcomer_rejects + evictions
