@@ -5,8 +5,9 @@ Times end-to-end regeneration of the paper experiments that lean on
 the memory-system simulator — Table 1 calibration, the Figure 4 stride
 curves, the Figure 7 strategy comparison — once forced onto the scalar
 reference oracle and once on the vectorized fast path, plus a
-cache-warm rerun.  Emits ``BENCH_speed.json`` so the performance
-trajectory stays visible across changes:
+cache-warm rerun — and the indexed-stream generator's bulk replay
+against its per-run reference loop.  Emits ``BENCH_speed.json`` so
+the performance trajectory stays visible across changes:
 
     python scripts/bench_speed.py [--output BENCH_speed.json]
 
@@ -29,7 +30,10 @@ from repro.caching import CACHE_ENV, default_cache  # noqa: E402
 from repro.core.batch import BATCH_VERSION  # noqa: E402
 from repro.memsim.engine import ENGINE_VERSION  # noqa: E402
 from repro.memsim.fastpath import FASTPATH_VERSION  # noqa: E402
-from repro.memsim.node import ENGINE_ENV  # noqa: E402
+from repro.memsim.node import (  # noqa: E402
+    DEFAULT_MEASURE_WORDS,
+    ENGINE_ENV,
+)
 
 #: The acceptance bar: figure-4 regeneration at least this much faster.
 FIG4_TARGET_SPEEDUP = 5.0
@@ -83,6 +87,16 @@ LOAD_PROTECTION_OFF_DIGEST = (
 
 FIG4_STRIDES = (2, 4, 8, 16, 32, 64)
 
+#: The stream-generation bar: every calibration-sized indexed stream
+#: generates at least this much faster by bulk replay than by the
+#: per-run reference loop — and byte for byte the same.
+STREAMS_TARGET_SPEEDUP = 10.0
+
+#: Indexed streams timed: the run lengths the registered machines use,
+#: each with both seeds NodeMemorySystem draws its streams from.
+STREAM_INDEX_RUNS = (1, 2)
+STREAM_SEEDS = (12345, 54321)
+
 
 def _regen_figure4():
     from repro.bench import figure4
@@ -115,6 +129,52 @@ SECTIONS = {
     "table1": _regen_table1,
     "figure7": _regen_figure7,
 }
+
+
+def _bench_streams(repeat: int) -> dict:
+    """Time indexed offset generation: replay vs reference loop."""
+    import numpy as np
+
+    from repro.memsim.streams import (
+        _indexed_word_offsets,
+        _indexed_word_offsets_reference,
+    )
+
+    def reference(nwords, index_run, seed):
+        rng = np.random.default_rng(seed)
+        return _indexed_word_offsets_reference(nwords, index_run, rng)
+
+    rows = []
+    for index_run in STREAM_INDEX_RUNS:
+        for seed in STREAM_SEEDS:
+            times = {}
+            outputs = {}
+            for name, fn in (
+                ("replay", _indexed_word_offsets),
+                ("reference", reference),
+            ):
+                best = float("inf")
+                for __ in range(repeat):
+                    started = time.perf_counter()
+                    outputs[name] = fn(DEFAULT_MEASURE_WORDS, index_run, seed)
+                    best = min(best, time.perf_counter() - started)
+                times[name] = best
+            rows.append({
+                "index_run": index_run,
+                "seed": seed,
+                "replay_s": round(times["replay"], 5),
+                "reference_s": round(times["reference"], 4),
+                "speedup": round(times["reference"] / times["replay"], 1),
+                "byte_identical":
+                    outputs["replay"].tobytes()
+                    == outputs["reference"].tobytes(),
+            })
+    return {
+        "nwords": DEFAULT_MEASURE_WORDS,
+        "streams": rows,
+        "min_speedup": min(row["speedup"] for row in rows),
+        "byte_identical": all(row["byte_identical"] for row in rows),
+    }
 
 
 def _timed(fn, repeat: int):
@@ -159,6 +219,7 @@ def main() -> int:
     # its own measurement below.
     os.environ[CACHE_ENV] = "off"
 
+    streams = _bench_streams(args.repeat)
     scalar_times, scalar_results = _run_mode("scalar", args.repeat)
     fast_times, fast_results = _run_mode("auto", args.repeat)
 
@@ -392,6 +453,7 @@ def main() -> int:
             "bit_identical": load_identical,
             "digest": load_result.digest(),
         },
+        "streams": streams,
         "parity_mismatches": len(mismatches),
         "meets_target": {
             "figure4_speedup_gte_5x":
@@ -410,6 +472,9 @@ def main() -> int:
                 load_eps >= LOAD_TARGET_EVENTS_PER_S,
             "load_replay_bit_identical": load_identical,
             "load_protection_off_digest_pinned": load_digest_pinned,
+            "indexed_streams_speedup_gte_10x":
+                streams["min_speedup"] >= STREAMS_TARGET_SPEEDUP,
+            "indexed_streams_byte_identical": streams["byte_identical"],
         },
     }
     with open(args.output, "w") as handle:
@@ -420,6 +485,13 @@ def main() -> int:
         print(
             f"{name:10} {row['scalar_s']:8.2f}s {row['fast_s']:8.2f}s "
             f"{row['speedup']:7.2f}x"
+        )
+    for row in streams["streams"]:
+        print(
+            f"indexed stream run {row['index_run']} seed {row['seed']}: "
+            f"reference {row['reference_s']:.3f}s -> replay "
+            f"{row['replay_s'] * 1e3:.1f}ms ({row['speedup']:.1f}x, "
+            f"{'byte-identical' if row['byte_identical'] else 'BYTES DIFFER'})"
         )
     print(
         f"table1 with calibration cache: cold {cold_s:.2f}s -> "
@@ -503,6 +575,20 @@ def main() -> int:
             file=sys.stderr,
         )
 
+    if not streams["byte_identical"]:
+        print(
+            "FAIL: indexed-stream replay differs from the reference loop",
+            file=sys.stderr,
+        )
+        return 1
+    if streams["min_speedup"] < STREAMS_TARGET_SPEEDUP:
+        print(
+            f"FAIL: indexed-stream replay speedup "
+            f"{streams['min_speedup']:.1f}x < "
+            f"{STREAMS_TARGET_SPEEDUP:.0f}x target",
+            file=sys.stderr,
+        )
+        return 1
     if mismatches:
         print(f"FAIL: {len(mismatches)} scalar/fast figure-4 mismatches",
               file=sys.stderr)

@@ -116,15 +116,20 @@ class NodeMemorySystem:
         return result
 
     def _run_with(
-        self, key: Tuple, run: Callable[[object], KernelResult], used: str
+        self, key: Tuple, streams: Tuple[AccessStream, ...], used: str
     ) -> KernelResult:
-        """Execute ``run`` on the named engine and memoize under it."""
-        if used == "fast":
-            result = run(
-                FastEngine(self.config, occupancy_scale=self.occupancy_scale)
-            )
-        else:
-            result = run(self._engine())
+        """Run kernel ``key`` on ``streams`` with the named engine and
+        memoize under it.
+
+        ``key[0]`` names the kernel: the engine method is
+        ``run_<key[0]>``, which :class:`FastEngine` mirrors exactly.
+        """
+        engine = (
+            FastEngine(self.config, occupancy_scale=self.occupancy_scale)
+            if used == "fast"
+            else self._engine()
+        )
+        result = getattr(engine, f"run_{key[0]}")(*streams)
         self.last_engine = used
         tracer = current_tracer()
         if tracer is not None:
@@ -133,12 +138,13 @@ class NodeMemorySystem:
         return result
 
     def _kernel(
-        self, key: Tuple, run: Callable[[object], KernelResult]
+        self, key: Tuple, build: Callable[[], Tuple[AccessStream, ...]]
     ) -> KernelResult:
         """Run a kernel on the selected engine, memoizing the result.
 
-        ``run`` receives either engine — :class:`FastEngine` mirrors
-        the ``run_*`` interface of the scalar oracle exactly.
+        ``build`` makes the kernel's streams.  It runs only on a memo
+        miss, and at most once per miss: an ``auto`` fallback hands the
+        scalar oracle the streams the fast path was offered.
 
         Results are memoized under the engine that *actually produced*
         them, not the mode that was requested: an ``auto`` query that
@@ -154,22 +160,24 @@ class NodeMemorySystem:
             cached = self._results.get(key + ("scalar",))
             if cached is not None:
                 return self._memo_hit(cached)
-            return self._run_with(key, run, "scalar")
+            return self._run_with(key, build(), "scalar")
         if mode == "fast":
             # Always attempt: a repeat of an unsupported kernel must
             # raise FastpathUnsupported again, identically.
             cached = self._results.get(key + ("fast",))
             if cached is not None:
                 return self._memo_hit(cached)
-            return self._run_with(key, run, "fast")
+            return self._run_with(key, build(), "fast")
         # ``auto``: fast path when the kernel qualifies, scalar oracle
         # otherwise, remembering which side each key landed on.
+        streams = None
         if key not in self._fast_unsupported:
             cached = self._results.get(key + ("fast",))
             if cached is not None:
                 return self._memo_hit(cached)
+            streams = build()
             try:
-                return self._run_with(key, run, "fast")
+                return self._run_with(key, streams, "fast")
             except FastpathUnsupported:
                 # Count every fallback so a configuration that silently
                 # never uses the fast path shows up in metrics.
@@ -181,7 +189,9 @@ class NodeMemorySystem:
         cached = self._results.get(key + ("scalar",))
         if cached is not None:
             return self._memo_hit(cached)
-        return self._run_with(key, run, "scalar")
+        if streams is None:
+            streams = build()
+        return self._run_with(key, streams, "scalar")
 
     def _stream(
         self, pattern: AccessPattern, base: int = 0, seed: int = 12345
@@ -196,36 +206,27 @@ class NodeMemorySystem:
         self, read: AccessPattern, write: AccessPattern
     ) -> KernelResult:
         """Run ``xCy`` and return the full kernel result."""
-        read_stream = self._stream(read, base=0, seed=12345)
-        write_stream = self._stream(write, base=_REGION_GAP, seed=54321)
         return self._kernel(
             ("copy", read, write),
-            lambda eng: eng.run_copy(read_stream, write_stream),
+            lambda: (
+                self._stream(read, base=0, seed=12345),
+                self._stream(write, base=_REGION_GAP, seed=54321),
+            ),
         )
 
     def load_send_result(self, read: AccessPattern) -> KernelResult:
         """Run ``xS0`` and return the full kernel result."""
-        stream = self._stream(read)
-        return self._kernel(
-            ("load_send", read),
-            lambda eng: eng.run_load_send(stream),
-        )
+        return self._kernel(("load_send", read), lambda: (self._stream(read),))
 
     def receive_store_result(self, write: AccessPattern) -> KernelResult:
         """Run ``0Ry`` and return the full kernel result."""
-        stream = self._stream(write)
         return self._kernel(
-            ("receive_store", write),
-            lambda eng: eng.run_receive_store(stream),
+            ("receive_store", write), lambda: (self._stream(write),)
         )
 
     def deposit_result(self, write: AccessPattern) -> KernelResult:
         """Run ``0Dy`` and return the full kernel result."""
-        stream = self._stream(write)
-        return self._kernel(
-            ("deposit", write),
-            lambda eng: eng.run_deposit(stream),
-        )
+        return self._kernel(("deposit", write), lambda: (self._stream(write),))
 
     def fetch_send_result(self, nwords: Optional[int] = None) -> KernelResult:
         """Run ``1F0`` and return the full kernel result."""
@@ -235,18 +236,14 @@ class NodeMemorySystem:
 
     def load_stream_result(self, read: AccessPattern) -> KernelResult:
         """Run a pure load stream (Section 3.5.1 read bandwidth)."""
-        stream = self._stream(read)
         return self._kernel(
-            ("load_stream", read),
-            lambda eng: eng.run_load_stream(stream),
+            ("load_stream", read), lambda: (self._stream(read),)
         )
 
     def store_stream_result(self, write: AccessPattern) -> KernelResult:
         """Run a pure store stream."""
-        stream = self._stream(write)
         return self._kernel(
-            ("store_stream", write),
-            lambda eng: eng.run_store_stream(stream),
+            ("store_stream", write), lambda: (self._stream(write),)
         )
 
     # -- throughput shorthands -----------------------------------------------

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.patterns import CONTIGUOUS, strided
+from repro.core.patterns import CONTIGUOUS, INDEXED, strided
 from repro.machines import t3d
+from repro.memsim import node as node_module
 from repro.memsim.config import CacheConfig, NodeConfig
 from repro.memsim.fastpath import FastpathUnsupported
 from repro.memsim.node import ENGINE_ENV, NodeMemorySystem
@@ -12,6 +13,20 @@ from repro.memsim.node import ENGINE_ENV, NodeMemorySystem
 @pytest.fixture(autouse=True)
 def _no_engine_env(monkeypatch):
     monkeypatch.delenv(ENGINE_ENV, raising=False)
+
+
+@pytest.fixture
+def stream_calls(monkeypatch):
+    """Count the streams NodeMemorySystem builds."""
+    calls = []
+    make_stream = node_module.make_stream
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return make_stream(*args, **kwargs)
+
+    monkeypatch.setattr(node_module, "make_stream", counting)
+    return calls
 
 
 @pytest.fixture
@@ -129,6 +144,28 @@ class TestMemoization:
         second = node.copy_result(CONTIGUOUS, strided(8))
         assert second is first
         assert node.last_engine is None  # no engine ran
+
+    def test_memo_hit_builds_no_streams(self, node_config, stream_calls):
+        node = _small(node_config)
+        first = node.copy_result(INDEXED, strided(8))
+        assert len(stream_calls) == 2
+        second = node.copy_result(INDEXED, strided(8))
+        assert second is first
+        assert len(stream_calls) == 2  # the hit generated nothing
+        node.load_send_result(INDEXED)
+        node.receive_store_result(INDEXED)
+        assert len(stream_calls) == 4
+        node.load_send_result(INDEXED)
+        node.receive_store_result(INDEXED)
+        assert len(stream_calls) == 4
+
+    def test_auto_fallback_builds_streams_once(self, stream_calls):
+        config = NodeConfig(cache=CacheConfig(write_policy="back"))
+        node = _small(config)
+        node.copy_result(CONTIGUOUS, strided(8))
+        assert node.last_engine == "scalar"
+        assert node.fastpath_fallbacks == 1
+        assert len(stream_calls) == 2  # not rebuilt for the oracle
 
     def test_clear_cache_remeasures(self, node_config):
         node = _small(node_config)

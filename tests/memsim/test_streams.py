@@ -4,8 +4,28 @@ import numpy as np
 import pytest
 
 from repro.core.patterns import CONTIGUOUS, FIXED, INDEXED, strided
+from repro.machines import MACHINE_FACTORIES
+from repro.memsim import streams
 from repro.memsim.config import WORD_BYTES
-from repro.memsim.streams import make_stream
+from repro.memsim.node import DEFAULT_MEASURE_WORDS
+from repro.memsim.streams import (
+    _indexed_word_offsets,
+    _indexed_word_offsets_reference,
+    _replay_indexed_word_offsets,
+    make_stream,
+)
+
+#: The seeds NodeMemorySystem builds its measurement streams with.
+CALIBRATION_SEEDS = (12345, 54321)
+
+
+def assert_matches_reference(nwords, run_length, seed):
+    replayed = _indexed_word_offsets(nwords, run_length, seed)
+    expected = _indexed_word_offsets_reference(
+        nwords, run_length, np.random.default_rng(seed)
+    )
+    assert replayed.dtype == expected.dtype
+    assert replayed.tobytes() == expected.tobytes()
 
 
 class TestContiguous:
@@ -76,6 +96,64 @@ class TestIndexed:
         stream = make_stream(INDEXED, 4096, seed=3, index_run=1)
         pages = stream.addresses // 256
         assert float(np.mean(pages[1:] == pages[:-1])) < 0.1
+
+
+class TestIndexedReplay:
+    """The bulk replay reproduces the per-run reference loop exactly."""
+
+    @pytest.mark.parametrize("run_length", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "nwords", [16, 17, 31, 100, 2047, 2048, 2049, 4097, 32768, 65536]
+    )
+    @pytest.mark.parametrize("seed", CALIBRATION_SEEDS)
+    def test_matches_reference(self, nwords, run_length, seed):
+        assert_matches_reference(nwords, run_length, seed)
+
+    @pytest.mark.parametrize("run_length", [1, 2, 3])
+    def test_every_length_across_small_blocks(self, run_length, monkeypatch):
+        # Blocks barely longer than one run's lookahead: streams of every
+        # length up to 400 words end at every point of a block and carry
+        # state (a buffered half included) across many boundaries.
+        monkeypatch.setattr(streams, "_REPLAY_BLOCK_WORDS", 24)
+        for nwords in range(16, 400):
+            assert_matches_reference(nwords, run_length, nwords)
+
+    @pytest.mark.parametrize("run_length", [4, 1000])
+    def test_long_runs_are_the_reference(self, run_length):
+        # NumPy draws these by inversion: outside the replay envelope.
+        assert_matches_reference(4096, run_length, 12345)
+
+    @pytest.mark.parametrize("nwords", [1, 7, 8, 15])
+    def test_single_region_is_the_reference(self, nwords):
+        assert_matches_reference(nwords, 2, 12345)
+
+    @pytest.mark.parametrize(
+        "run_length, seed", [(1, 6385), (2, 1726), (3, 6385)]
+    )
+    def test_region_rejection_is_the_reference(self, run_length, seed):
+        # 4264 words make 533 regions, whose Lemire draw rejects a half
+        # with probability 529 / 2**32; these seeds hit one.
+        nwords, n_regions = 4264, 533
+        replay = _replay_indexed_word_offsets(
+            nwords, 1.0 / run_length, 32, n_regions, np.random.PCG64(seed)
+        )
+        assert replay is None
+        assert_matches_reference(nwords, run_length, seed)
+
+    def test_calibration_streams_never_fall_back(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("indexed stream left the replay envelope")
+
+        monkeypatch.setattr(
+            streams, "_indexed_word_offsets_reference", forbidden
+        )
+        runs = {factory().index_run for factory in MACHINE_FACTORIES.values()}
+        for index_run in sorted(runs):
+            for seed in CALIBRATION_SEEDS:
+                stream = make_stream(
+                    INDEXED, DEFAULT_MEASURE_WORDS, seed=seed, index_run=index_run
+                )
+                assert stream.nwords == DEFAULT_MEASURE_WORDS
 
 
 class TestValidation:

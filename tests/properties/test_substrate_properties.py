@@ -8,7 +8,11 @@ from hypothesis import assume, given, settings
 from repro.compiler.classify import classify_offsets
 from repro.compiler.distributions import Block, BlockCyclic, Cyclic
 from repro.core.patterns import AccessPattern
-from repro.memsim.streams import make_stream
+from repro.memsim.streams import (
+    _indexed_word_offsets,
+    _indexed_word_offsets_reference,
+    make_stream,
+)
 from repro.netsim.topology import Mesh, Torus
 from repro.runtime.stages import Stage, StagePipeline
 
@@ -153,6 +157,19 @@ class TestStreamProperties:
         assert stream.nwords == nwords
         assert np.all(stream.addresses % 8 == 0)
         assert len(stream.index_addresses) == nwords
+
+    @given(
+        st.integers(min_value=1, max_value=5000),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_indexed_replay_matches_reference(self, nwords, run, seed):
+        replayed = _indexed_word_offsets(nwords, run, seed)
+        expected = _indexed_word_offsets_reference(
+            nwords, run, np.random.default_rng(seed)
+        )
+        assert replayed.tobytes() == expected.tobytes()
 
 
 class TestPipelineProperties:
