@@ -5,8 +5,9 @@ Times end-to-end regeneration of the paper experiments that lean on
 the memory-system simulator — Table 1 calibration, the Figure 4 stride
 curves, the Figure 7 strategy comparison — once forced onto the scalar
 reference oracle and once on the vectorized fast path, plus a
-cache-warm rerun — and the indexed-stream generator's bulk replay
-against its per-run reference loop.  Emits ``BENCH_speed.json`` so
+cache-warm rerun — the indexed-stream generator's bulk replay
+against its per-run reference loop, and cold calibration of the
+write-back machines (``modern``).  Emits ``BENCH_speed.json`` so
 the performance trajectory stays visible across changes:
 
     python scripts/bench_speed.py [--output BENCH_speed.json]
@@ -91,6 +92,13 @@ FIG4_STRIDES = (2, 4, 8, 16, 32, 64)
 #: generates at least this much faster by bulk replay than by the
 #: per-run reference loop — and byte for byte the same.
 STREAMS_TARGET_SPEEDUP = 10.0
+
+#: The write-back bar: a cold calibration table of each modern machine
+#: builds at least this much faster on the fast path than on the scalar
+#: oracle, every entry within MODERN_PARITY_REL of the oracle's.
+MODERN_TARGET_SPEEDUP = 4.0
+MODERN_PARITY_REL = 1e-9
+MODERN_MACHINES = ("xe", "cluster")
 
 #: Indexed streams timed: the run lengths the registered machines use,
 #: each with both seeds NodeMemorySystem draws its streams from.
@@ -177,6 +185,51 @@ def _bench_streams(repeat: int) -> dict:
     }
 
 
+def _bench_modern(repeat: int) -> dict:
+    """Time a cold ``measure_table`` per write-back machine, scalar vs fast."""
+    from repro.machines import machine_by_key
+    from repro.machines.measure import measure_table
+
+    rows = []
+    for key in MODERN_MACHINES:
+        times = {}
+        tables = {}
+        for mode in ("scalar", "fast"):
+            os.environ[ENGINE_ENV] = mode
+            best = float("inf")
+            for __ in range(repeat):
+                machine = machine_by_key(key)  # fresh kernel memo
+                started = time.perf_counter()
+                tables[mode] = measure_table(machine, use_cache=False)
+                best = min(best, time.perf_counter() - started)
+            times[mode] = best
+        scalar = tables["scalar"].to_dict()
+        fast = tables["fast"].to_dict()
+        worst_rel = max(
+            abs(fast.get(name, float("inf")) - value) / abs(value)
+            for name, value in scalar.items()
+        )
+        rows.append({
+            "machine": key,
+            "entries": len(scalar),
+            "scalar_s": round(times["scalar"], 4),
+            "fast_s": round(times["fast"], 4),
+            "speedup": round(times["scalar"] / times["fast"], 2),
+            "differing_entries": sum(
+                fast.get(name) != value for name, value in scalar.items()
+            ),
+            "worst_rel_diff": worst_rel,
+            "same_entries": fast.keys() == scalar.keys(),
+        })
+    os.environ.pop(ENGINE_ENV, None)
+    return {
+        "machines": rows,
+        "min_speedup": min(row["speedup"] for row in rows),
+        "worst_rel_diff": max(row["worst_rel_diff"] for row in rows),
+        "same_entries": all(row["same_entries"] for row in rows),
+    }
+
+
 def _timed(fn, repeat: int):
     """Best-of-``repeat`` wall time and the last result."""
     best = float("inf")
@@ -220,6 +273,7 @@ def main() -> int:
     os.environ[CACHE_ENV] = "off"
 
     streams = _bench_streams(args.repeat)
+    modern = _bench_modern(args.repeat)
     scalar_times, scalar_results = _run_mode("scalar", args.repeat)
     fast_times, fast_results = _run_mode("auto", args.repeat)
 
@@ -454,6 +508,7 @@ def main() -> int:
             "digest": load_result.digest(),
         },
         "streams": streams,
+        "modern": modern,
         "parity_mismatches": len(mismatches),
         "meets_target": {
             "figure4_speedup_gte_5x":
@@ -475,6 +530,11 @@ def main() -> int:
             "indexed_streams_speedup_gte_10x":
                 streams["min_speedup"] >= STREAMS_TARGET_SPEEDUP,
             "indexed_streams_byte_identical": streams["byte_identical"],
+            "modern_calibration_speedup_gte_4x":
+                modern["min_speedup"] >= MODERN_TARGET_SPEEDUP,
+            "modern_calibration_within_1e-9":
+                modern["same_entries"]
+                and modern["worst_rel_diff"] <= MODERN_PARITY_REL,
         },
     }
     with open(args.output, "w") as handle:
@@ -492,6 +552,14 @@ def main() -> int:
             f"reference {row['reference_s']:.3f}s -> replay "
             f"{row['replay_s'] * 1e3:.1f}ms ({row['speedup']:.1f}x, "
             f"{'byte-identical' if row['byte_identical'] else 'BYTES DIFFER'})"
+        )
+    for row in modern["machines"]:
+        print(
+            f"modern {row['machine']} cold table: scalar "
+            f"{row['scalar_s']:.2f}s -> fast {row['fast_s']:.2f}s "
+            f"({row['speedup']:.1f}x, {row['differing_entries']} of "
+            f"{row['entries']} entries differ, worst "
+            f"{row['worst_rel_diff']:.1e} relative)"
         )
     print(
         f"table1 with calibration cache: cold {cold_s:.2f}s -> "
@@ -586,6 +654,22 @@ def main() -> int:
             f"FAIL: indexed-stream replay speedup "
             f"{streams['min_speedup']:.1f}x < "
             f"{STREAMS_TARGET_SPEEDUP:.0f}x target",
+            file=sys.stderr,
+        )
+        return 1
+    if not payload["meets_target"]["modern_calibration_within_1e-9"]:
+        print(
+            f"FAIL: modern calibration tables differ between scalar and "
+            f"fast beyond {MODERN_PARITY_REL:.0e} relative "
+            f"(worst {modern['worst_rel_diff']:.1e})",
+            file=sys.stderr,
+        )
+        return 1
+    if modern["min_speedup"] < MODERN_TARGET_SPEEDUP:
+        print(
+            f"FAIL: modern calibration speedup "
+            f"{modern['min_speedup']:.2f}x < "
+            f"{MODERN_TARGET_SPEEDUP:.0f}x target",
             file=sys.stderr,
         )
         return 1

@@ -61,13 +61,17 @@ class TestEngineSelection:
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_auto_falls_back_outside_the_envelope(self):
-        config = NodeConfig(cache=CacheConfig(write_policy="back"))
+        config = NodeConfig(
+            cache=CacheConfig(write_policy="back", associativity=4)
+        )
         node = _small(config)
         node.measure_copy(CONTIGUOUS, CONTIGUOUS)
         assert node.last_engine == "scalar"
 
     def test_auto_fallback_is_counted(self):
-        config = NodeConfig(cache=CacheConfig(write_policy="back"))
+        config = NodeConfig(
+            cache=CacheConfig(write_policy="back", associativity=4)
+        )
         node = _small(config)
         assert node.fastpath_fallbacks == 0
         node.measure_copy(CONTIGUOUS, CONTIGUOUS)
@@ -81,7 +85,9 @@ class TestEngineSelection:
     def test_auto_fallback_emits_trace_counter(self):
         from repro.trace import tracing
 
-        config = NodeConfig(cache=CacheConfig(write_policy="back"))
+        config = NodeConfig(
+            cache=CacheConfig(write_policy="back", associativity=4)
+        )
         node = _small(config)
         with tracing() as tracer:
             node.measure_copy(CONTIGUOUS, CONTIGUOUS)
@@ -90,7 +96,9 @@ class TestEngineSelection:
         assert counters.get("memsim.engine.scalar") == 1
 
     def test_auto_fallback_matches_scalar_engine_exactly(self):
-        config = NodeConfig(cache=CacheConfig(write_policy="back"))
+        config = NodeConfig(
+            cache=CacheConfig(write_policy="back", associativity=4)
+        )
         auto = _small(config)
         scalar = _small(config, engine="scalar")
         for read, write in (
@@ -116,7 +124,9 @@ class TestEngineSelection:
         assert node.fastpath_fallbacks == 0
 
     def test_fast_mode_raises_outside_the_envelope(self):
-        config = NodeConfig(cache=CacheConfig(write_policy="back"))
+        config = NodeConfig(
+            cache=CacheConfig(write_policy="back", associativity=4)
+        )
         node = _small(config, engine="fast")
         with pytest.raises(FastpathUnsupported):
             node.measure_copy(CONTIGUOUS, CONTIGUOUS)
@@ -160,7 +170,9 @@ class TestMemoization:
         assert len(stream_calls) == 4
 
     def test_auto_fallback_builds_streams_once(self, stream_calls):
-        config = NodeConfig(cache=CacheConfig(write_policy="back"))
+        config = NodeConfig(
+            cache=CacheConfig(write_policy="back", associativity=4)
+        )
         node = _small(config)
         node.copy_result(CONTIGUOUS, strided(8))
         assert node.last_engine == "scalar"
@@ -212,7 +224,9 @@ class TestMemoization:
     def test_auto_fallback_shares_scalar_memo(self, monkeypatch):
         """On a fast-unsupported config, auto's fallback result and a
         forced-scalar query are one memo entry in both directions."""
-        config = NodeConfig(cache=CacheConfig(write_policy="back"))
+        config = NodeConfig(
+            cache=CacheConfig(write_policy="back", associativity=4)
+        )
         node = _small(config)
         fallback = node.copy_result(CONTIGUOUS, CONTIGUOUS)
         assert node.last_engine == "scalar"
@@ -223,7 +237,9 @@ class TestMemoization:
         assert node.last_engine is None
 
     def test_clear_cache_forgets_fast_rejections(self):
-        config = NodeConfig(cache=CacheConfig(write_policy="back"))
+        config = NodeConfig(
+            cache=CacheConfig(write_policy="back", associativity=4)
+        )
         node = _small(config)
         node.copy_result(CONTIGUOUS, CONTIGUOUS)
         assert node.fastpath_fallbacks == 1

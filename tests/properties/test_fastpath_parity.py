@@ -15,9 +15,12 @@ so the parity guarantee cannot silently rot.
 from dataclasses import replace
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import assume, given, settings
 
 from repro.core.patterns import AccessPattern
+from repro.machines.registry import MACHINE_FACTORIES
+from repro.memsim import fastpath
 from repro.memsim.config import (
     CacheConfig,
     DepositConfig,
@@ -74,7 +77,7 @@ caches = st.builds(
     line_bytes=st.sampled_from([16, 32, 64]),
     associativity=st.sampled_from([1, 2, 4]),
     hit_ns=st.sampled_from([5.0, 7.0]),
-    write_policy=st.sampled_from(["around", "through"]),
+    write_policy=st.sampled_from(["around", "through", "back"]),
 )
 
 drams = st.builds(
@@ -115,6 +118,9 @@ nodes = st.builds(
 )
 
 lengths = st.sampled_from([1, 2, 3, 17, 256, 1023])
+
+#: Lengths that cross many block seams at the block sizes below.
+seam_lengths = st.sampled_from([17, 300, 3000])
 
 kernels = st.sampled_from(
     ["load", "store", "copy", "load_send", "receive_store", "deposit"]
@@ -201,9 +207,48 @@ class TestFastpathParity:
             expected, got, f"copy {read_pattern!r}->{write_pattern!r}"
         )
 
+    @pytest.mark.parametrize("policy", ["around", "through", "back"])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        node=nodes,
+        read_pattern=patterns,
+        write_pattern=patterns,
+        nwords=seam_lengths,
+        block_words=st.sampled_from([1, 2, 5, 7, 64]),
+        kernel=st.sampled_from(["load", "store", "copy"]),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_block_seams_match_scalar_oracle(
+        self, policy, node, read_pattern, write_pattern, nwords,
+        block_words, kernel, seed,
+    ):
+        """State carried across block seams is the engine's state: tiny
+        blocks over long streams still match the oracle."""
+        node = replace(node, cache=replace(node.cache, write_policy=policy))
+        ref, fast = _engines(node)
+        read = make_stream(read_pattern, nwords, base=0, seed=seed)
+        write = make_stream(
+            write_pattern, nwords, base=WRITE_BASE, seed=seed + 1
+        )
+        runs = {
+            "load": lambda eng: eng.run_load_stream(read),
+            "store": lambda eng: eng.run_store_stream(write),
+            "copy": lambda eng: eng.run_copy(read, write),
+        }
+        expected = runs[kernel](ref)
+        saved = fastpath._BLOCK_WORDS
+        fastpath._BLOCK_WORDS = block_words
+        try:
+            got = runs[kernel](fast)
+        except FastpathUnsupported:
+            assume(False)
+        finally:
+            fastpath._BLOCK_WORDS = saved
+        assert_results_match(
+            expected, got, f"{kernel} {policy} blocks of {block_words}"
+        )
+
     def test_machine_configs_are_inside_the_envelope(self):
         """The shipped machines must never fall back to the oracle."""
-        from repro.machines import paragon, t3d
-
-        for machine in (t3d(), paragon()):
-            FastEngine(machine.node)  # must not raise
+        for factory in MACHINE_FACTORIES.values():
+            FastEngine(factory().node)  # must not raise

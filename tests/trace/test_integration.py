@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.operations import OperationStyle
 from repro.core.patterns import CONTIGUOUS, strided
+from repro.machines import machine_by_key
 from repro.runtime.collective import CommunicationStep
 from repro.runtime.engine import CommRuntime
 from repro.runtime.stages import Stage, StagePipeline
@@ -112,25 +113,32 @@ class TestMemsimTracing:
         ) > 0
         assert metrics.counter("memsim.wb_drains") > 0
 
-    def test_scalar_and_fast_counters_agree(self, t3d_machine):
+    def test_scalar_and_fast_counters_agree(self):
+        """Both engines count the same events, write-back included, over
+        more words than one fast-path block holds."""
         shared = (
             "memsim.kernels",
             "memsim.cache_hits",
             "memsim.cache_misses",
+            "memsim.dirty_evictions",
             "memsim.page_hits",
             "memsim.page_misses",
             "memsim.wb_drains",
         )
-        results = {}
-        for mode in ("scalar", "fast"):
-            node = t3d_machine.node_memory(nwords=2048)
-            node.engine = mode
-            with tracing() as tracer:
-                node.measure_copy(CONTIGUOUS, strided(8))
-            results[mode] = {
-                name: tracer.metrics.counter(name) for name in shared
-            }
-        assert results["scalar"] == results["fast"]
+        for key in ("t3d", "xe", "cluster"):
+            machine = machine_by_key(key)
+            results = {}
+            for mode in ("scalar", "fast"):
+                node = machine.node_memory(nwords=5000)
+                node.engine = mode
+                with tracing() as tracer:
+                    node.measure_copy(CONTIGUOUS, strided(8))
+                results[mode] = {
+                    name: tracer.metrics.counter(name) for name in shared
+                }
+            assert results["scalar"] == results["fast"], key
+            if machine.node.cache.write_policy == "back":
+                assert results["fast"]["memsim.dirty_evictions"] > 0, key
 
     def test_memo_hits_counted(self, t3d_machine):
         node = t3d_machine.node_memory(nwords=2048)
