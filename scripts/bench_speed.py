@@ -28,7 +28,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.caching import CACHE_ENV, default_cache  # noqa: E402
-from repro.core.batch import BATCH_VERSION  # noqa: E402
 from repro.memsim.engine import ENGINE_VERSION  # noqa: E402
 from repro.memsim.fastpath import FASTPATH_VERSION  # noqa: E402
 from repro.memsim.node import (  # noqa: E402
@@ -128,7 +127,11 @@ def _regen_table1():
 
 def _regen_figure7():
     from repro.bench import figure7
+    from repro.sweep.worker import reset_memos
 
+    # figure7() sweeps in-process, and the sweep's worker memos would
+    # otherwise hand this run the tables an earlier engine measured.
+    reset_memos()
     return figure7()
 
 
@@ -378,9 +381,9 @@ def main() -> int:
         else float("inf")
     )
 
-    # Batched engine: the same figure-7 grid evaluated as vectorized
-    # numpy passes in one process (run_sweep(engine="batch")), against
-    # the same honest serial baseline.  Cache stays off; the payload
+    # In-process sweep: the same figure-7 grid evaluated as vectorized
+    # numpy passes in one process (run_sweep(workers=1)), against the
+    # same honest serial baseline.  Cache stays off; the payload
     # must be bit-identical, cell for cell.
     batch_sweep_s = float("inf")
     batch_digest = None
@@ -388,7 +391,7 @@ def main() -> int:
     for __ in range(args.repeat):
         default_cache().clear()
         started = time.perf_counter()
-        batch_result = run_sweep(sweep_spec, workers=1, engine="batch")
+        batch_result = run_sweep(sweep_spec, workers=1)
         batch_sweep_s = min(batch_sweep_s, time.perf_counter() - started)
         batch_digest = batch_result.digest()
         batch_stats = batch_result.stats
@@ -488,7 +491,6 @@ def main() -> int:
         "batch": {
             "grid": "figure7",
             "cells": len(batch_result),
-            "batch_version": BATCH_VERSION,
             "serial_s": round(serial_sweep_s, 4),
             "batch_s": round(batch_sweep_s, 4),
             "speedup": round(batch_speedup, 2),

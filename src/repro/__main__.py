@@ -701,7 +701,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         shard_size=args.shard_size,
         shuffle_seed=args.shuffle_seed,
         preflight_verify=args.verify,
-        engine=args.engine,
     )
     if args.out:
         with open(args.out, "w") as handle:
@@ -1282,7 +1281,7 @@ def build_parser() -> argparse.ArgumentParser:
             "them on --workers processes, and merge deterministically. "
             "The emitted canonical JSON (and its digest) is "
             "bit-identical for any --workers / --shard-size / "
-            "--shuffle-seed / --engine combination."
+            "--shuffle-seed combination."
         ),
     )
     sweep.add_argument("--grid", default="figure7",
@@ -1307,13 +1306,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--shuffle-seed", type=int, default=None,
                        help="permute shard submission order (results "
                             "must not change)")
-    sweep.add_argument("--engine", default="cell",
-                       choices=("cell", "batch"),
-                       help="execution engine: 'cell' runs the scalar "
-                            "per-cell loop; 'batch' evaluates the grid "
-                            "as vectorized numpy passes, falling back "
-                            "per cell where batching does not apply "
-                            "(bit-identical payload and digest)")
     sweep.add_argument("--json", action="store_true",
                        help="print the canonical result payload")
     sweep.add_argument("--out", default=None,

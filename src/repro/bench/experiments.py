@@ -9,10 +9,12 @@ The ``benchmarks/`` tree calls these and asserts the shape criteria.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Sequence, Tuple
 
+from .. import sweep
 from ..core.operations import OperationStyle
-from ..core.patterns import CONTIGUOUS, INDEXED, AccessPattern, strided
+from ..core.patterns import CONTIGUOUS, AccessPattern, strided
 from ..machines import paragon, t3d
 from ..machines.base import Machine
 from ..netsim.network import FramingMode
@@ -39,18 +41,15 @@ __all__ = [
     "PATTERN_GRID",
 ]
 
-#: The x/y pattern grid of Figures 7 and 8 (both axes of each chart).
+#: The x/y pattern grid of Figures 7 and 8 (both axes of each chart),
+#: parsed from the sweep preset the figures run.
 PATTERN_GRID: List[Tuple[str, AccessPattern, AccessPattern]] = [
-    ("1Q1", CONTIGUOUS, CONTIGUOUS),
-    ("1Q64", CONTIGUOUS, strided(64)),
-    ("64Q1", strided(64), CONTIGUOUS),
-    ("1Qw", CONTIGUOUS, INDEXED),
-    ("wQ1", INDEXED, CONTIGUOUS),
-    ("wQw", INDEXED, INDEXED),
+    (f"{x}Q{y}", AccessPattern.parse(x), AccessPattern.parse(y))
+    for x, y in sweep.GRID_PAIRS
 ]
 
 #: Message size used for point-to-point "measured" comparisons.
-MEASURE_BYTES = 128 * 1024
+MEASURE_BYTES = sweep.GRID_BYTES
 
 
 def _simulated(machine: Machine) -> Dict[str, float]:
@@ -192,91 +191,33 @@ def section51(machine: Machine) -> List[Comparison]:
 # -- Figures 7/8 and Table 5: packing vs chained --------------------------------
 
 
-def _packing_vs_chained(
-    machine: Machine,
-) -> Dict[str, Dict[str, float]]:
-    """Model and measured rates over the Figure 7/8 pattern grid."""
-    model = machine.model(source="paper")
-    results: Dict[str, Dict[str, float]] = {}
-    for name, x, y in PATTERN_GRID:
-        entry = {}
-        for style in OperationStyle:
-            entry[f"{style.value} model"] = model.estimate(x, y, style).mbps
-            entry[f"{style.value} measured"] = measure_q(
-                machine, x, y, MEASURE_BYTES, style
-            ).mbps
-        results[name] = entry
-    return results
+def machine_grid(machine_key: str) -> Dict[str, Dict[str, float]]:
+    """The Figure 7/8 pattern grid on any registered machine.
 
-
-def _packing_vs_chained_swept(
-    spec, workers: int, shard_size=None, engine: str = "cell"
-) -> Dict[str, Dict[str, float]]:
-    """The Figure 7/8 grid executed through :mod:`repro.sweep`.
-
-    Returns the same mapping (same keys, same insertion order, same
-    values) as :func:`_packing_vs_chained` — only wall-clock differs.
+    Per pattern, model and measured rates for both styles, swept
+    through :mod:`repro.sweep`, so machines beyond the paper's two get
+    the same golden-pinned grid.  A machine that cannot build a cell
+    raises the sweep's one-line :class:`~repro.sweep.SweepError`
+    naming it.
     """
-    from ..sweep import run_sweep
-
-    result = run_sweep(
-        spec, workers=workers, shard_size=shard_size, engine=engine
-    )
+    spec = dataclasses.replace(sweep.figure7_spec(), machines=(machine_key,))
+    result = sweep.run_sweep(spec)
     results: Dict[str, Dict[str, float]] = {}
     for cell, row in zip(result.cells, result.rows):
-        name = f"{cell.x}Q{cell.y}"
-        entry = results.setdefault(name, {})
+        entry = results.setdefault(f"{cell.x}Q{cell.y}", {})
         entry[f"{cell.style} model"] = row["model_mbps"]
         entry[f"{cell.style} measured"] = row["mbps"]
     return results
 
 
-def figure7(
-    workers: int = 1, shard_size=None, engine: str = "cell"
-) -> Dict[str, Dict[str, float]]:
-    """Buffer-packing vs chained on the T3D (Figure 7).
-
-    ``workers`` > 1 executes the grid through the sharded sweep engine
-    (:mod:`repro.sweep`), and ``engine="batch"`` evaluates it through
-    the vectorized batch engine; the returned mapping is identical.
-    """
-    if (workers and workers > 1) or engine != "cell":
-        from ..sweep import figure7_spec
-
-        return _packing_vs_chained_swept(
-            figure7_spec(), workers, shard_size, engine
-        )
-    return _packing_vs_chained(t3d())
+def figure7() -> Dict[str, Dict[str, float]]:
+    """Buffer-packing vs chained on the T3D (Figure 7)."""
+    return machine_grid("t3d")
 
 
-def figure8(
-    workers: int = 1, shard_size=None, engine: str = "cell"
-) -> Dict[str, Dict[str, float]]:
-    """Buffer-packing vs chained on the Paragon (Figure 8).
-
-    ``workers`` > 1 executes the grid through the sharded sweep engine
-    (:mod:`repro.sweep`), and ``engine="batch"`` evaluates it through
-    the vectorized batch engine; the returned mapping is identical.
-    """
-    if (workers and workers > 1) or engine != "cell":
-        from ..sweep import figure8_spec
-
-        return _packing_vs_chained_swept(
-            figure8_spec(), workers, shard_size, engine
-        )
-    return _packing_vs_chained(paragon())
-
-
-def machine_grid(machine_key: str) -> Dict[str, Dict[str, float]]:
-    """The Figure 7/8 pattern grid on any registered machine.
-
-    Same shape as :func:`figure7` — per pattern, model and measured
-    rates for both styles — so machines beyond the paper's two get the
-    same golden-pinned grid.
-    """
-    from ..machines.registry import MACHINE_FACTORIES
-
-    return _packing_vs_chained(MACHINE_FACTORIES[machine_key]())
+def figure8() -> Dict[str, Dict[str, float]]:
+    """Buffer-packing vs chained on the Paragon (Figure 8)."""
+    return machine_grid("paragon")
 
 
 #: The (sizes, node count) regime grid collective goldens pin.

@@ -31,8 +31,8 @@ many transfers at once (:func:`solve_pipeline_group`): lanes sharing a
 pipeline *structure* (chunking and resource-sharing topology) advance
 chunk by chunk as arrays, replicating
 :meth:`repro.runtime.stages.StagePipeline.run`'s recurrence
-elementwise.  The sweep engine's batch strategy
-(:mod:`repro.sweep.batch`) builds on both halves.
+elementwise.  The sweep engine (:mod:`repro.sweep.batch`) builds on
+both halves.
 
 This module deliberately imports nothing from :mod:`repro.runtime` or
 :mod:`repro.sweep` — it is pure core + numpy, and the higher layers
@@ -55,7 +55,6 @@ from .patterns import AccessPattern
 from .throughput import evaluate
 
 __all__ = [
-    "BATCH_VERSION",
     "BatchUnsupported",
     "BatchChoice",
     "evaluate_many",
@@ -64,14 +63,6 @@ __all__ = [
     "solve_pipeline_group",
     "expr_shape",
 ]
-
-#: Semantic version of the batched evaluation strategy.  Folded into
-#: the calibration/measurement cache keys (see
-#: :func:`repro.machines.measure.measurement_cache_key`) so disk
-#: entries written under one batching semantics can never be served to
-#: a process running another.
-BATCH_VERSION = "1"
-
 
 class BatchUnsupported(ModelError):
     """A query falls outside the vectorized path's envelope.

@@ -1,9 +1,11 @@
 """Batched sweep execution: whole grids as vectorized numpy passes.
 
-The scalar strategy (:func:`repro.sweep.worker.run_cell`) answers one
+The scalar oracle (:func:`repro.sweep.worker.run_cell`) answers one
 cell at a time; even with memoized tables the per-cell orchestration —
 model walk, pipeline simulation chunk by chunk in Python — dominates a
-grid run.  This module evaluates a list of cells **as a batch**:
+grid run.  This module evaluates a list of cells **as a batch**, and
+it is how every sweep runs: :func:`repro.sweep.run_sweep` hands it the
+whole grid in-process, or each shard inside a pool worker.
 
 * nominal transfer cells are grouped by ``(machine, model source)``
   for the model estimates — distinct ``(x, y, style)`` queries are
@@ -25,7 +27,7 @@ grid run.  This module evaluates a list of cells **as a batch**:
   in canonical order, so errors and results are exactly those of the
   scalar path.  Same envelope discipline as the memsim fastpath.
 
-Rows are bit-identical to the scalar strategy's (asserted by
+Rows are bit-identical to the scalar oracle's (asserted by
 ``tests/properties/test_batch_parity.py`` and gated by
 ``scripts/bench_speed.py`` on the figure7 grid): every floating-point
 operation in the vectorized fold replicates the scalar code's IEEE-754

@@ -1,6 +1,6 @@
 """Sweep execution: serial reference, in-process batched, and pooled.
 
-Three execution strategies, all producing bit-identical
+Two execution strategies plus the oracle, all producing bit-identical
 :class:`~repro.sweep.merge.SweepResult` payloads for the same spec:
 
 * :func:`run_serial` — the *reference implementation*: a plain loop
@@ -8,8 +8,10 @@ Three execution strategies, all producing bit-identical
   exactly what the pre-sweep consumers did.  Slowest, simplest,
   obviously correct; the determinism tests compare everything else
   against it.
-* :func:`run_sweep` with ``workers <= 1`` — in-process execution of
-  the planned shards through the worker module's batched memos.
+* :func:`run_sweep` with ``workers <= 1`` — the whole grid through one
+  in-process :func:`~repro.sweep.batch.run_cells_batched` pass, which
+  falls back per cell to the scalar oracle where batching does not
+  apply.
 * :func:`run_sweep` with ``workers > 1`` — a
   :class:`~concurrent.futures.ProcessPoolExecutor` executing shards,
   each worker batching its own shards and all workers sharing the
@@ -19,7 +21,7 @@ Three execution strategies, all producing bit-identical
 Shard lifecycle is observable through the trace layer: with a tracer
 installed (:func:`repro.trace.tracing`) the runner emits
 ``sweep.cells`` / ``sweep.shards`` / ``sweep.workers`` counters and
-one span per shard on the ``"sweep"`` track.  Sweep spans record
+one span per pooled shard on the ``"sweep"`` track.  Sweep spans record
 **wall-clock** nanoseconds (the sweep engine runs in real time), not
 the simulated nanoseconds the runtime's phase spans use; they share an
 export format, not a clock domain.
@@ -50,22 +52,14 @@ def _pool_context():
     )
 
 
-#: Execution engines ``run_sweep`` accepts: the scalar per-cell loop
-#: and the vectorized batch engine (:mod:`repro.sweep.batch`).
-ENGINES = ("cell", "batch")
-
-
-def _shard_payload(shard: Shard, engine: str = "cell"):
-    payload = (
+def _shard_payload(shard: Shard):
+    return (
         shard.index,
         tuple(
             (cell_index, cell.to_dict())
             for cell_index, cell in shard.cells
         ),
     )
-    # The two-element form stays the wire format for the default
-    # engine, so payloads round-trip to older consumers unchanged.
-    return payload if engine == "cell" else payload + (engine,)
 
 
 def run_serial(spec: SweepSpec, batched: bool = False) -> SweepResult:
@@ -165,37 +159,31 @@ def run_sweep(
     shard_size: Optional[int] = None,
     shuffle_seed: Optional[int] = None,
     preflight_verify: bool = False,
-    engine: str = "cell",
 ) -> SweepResult:
     """Plan, execute and deterministically merge one sweep.
 
     Args:
         spec: The grid to sweep.
-        workers: Process count; ``None``, 0 or 1 run the shards
-            in-process (no pool) through the same batched worker code.
-        shard_size: Cells per shard (default: a few shards per worker).
+        workers: Process count; ``None``, 0 or 1 run the whole grid
+            in-process (no pool) as one batched pass
+            (:func:`~repro.sweep.batch.run_cells_batched`); more run
+            the planned shards on a process pool, each shard batched
+            inside its worker.
+        shard_size: Cells per shard on the pool (default: a few shards
+            per worker).  In-process runs do not shard, so it only
+            shapes the planned-shard count they report.
         shuffle_seed: Deterministically permute shard submission order
-            — a test knob proving completion order cannot leak into
-            results.
+            on the pool — a test knob proving completion order cannot
+            leak into results.  No effect in-process.
         preflight_verify: Run the semantic verifier over every distinct
             transfer shape before executing the grid; blocking findings
             raise :class:`SweepError` and nothing executes.
-        engine: ``"cell"`` (default) executes one cell at a time
-            through the scalar oracle; ``"batch"`` evaluates the grid
-            as vectorized numpy passes (:mod:`repro.sweep.batch`) —
-            in-process over the whole grid when ``workers <= 1``, per
-            shard inside each pool worker otherwise.  The merged
-            payload and digest are bit-identical either way.
 
     Returns:
         A :class:`~repro.sweep.merge.SweepResult` whose canonical
         payload is bit-identical for any ``workers``/``shard_size``/
-        ``shuffle_seed``/``engine`` combination.
+        ``shuffle_seed`` combination.
     """
-    if engine not in ENGINES:
-        raise SweepError(
-            f"unknown sweep engine {engine!r}; choose from {ENGINES}"
-        )
     cells = spec.expand()
     n_verified = _preflight_verify(cells) if preflight_verify else None
     n_workers = max(1, workers or 1)
@@ -213,7 +201,7 @@ def run_sweep(
 
     started = time.perf_counter()
     batch_stats: Dict[str, Any] = {}
-    if engine == "batch" and n_workers == 1:
+    if n_workers == 1:
         # Whole grid through one batched pass: maximal group sizes.
         from .batch import run_cells_batched
 
@@ -223,12 +211,8 @@ def run_sweep(
             "batch_groups": report.groups,
             "batch_fallbacks": report.fallbacks,
         }
-    elif n_workers == 1:
-        indexed_rows = _run_shards_inline(shards, tracer, started)
     else:
-        indexed_rows = _run_shards_pooled(
-            shards, n_workers, tracer, started, engine
-        )
+        indexed_rows = _run_shards_pooled(shards, n_workers, tracer, started)
     rows = merge_rows(cells, indexed_rows)
     elapsed = time.perf_counter() - started
 
@@ -245,7 +229,6 @@ def run_sweep(
         )
     stats: Dict[str, Any] = {
         "strategy": "pool" if n_workers > 1 else "inline",
-        "engine": engine,
         "workers": n_workers,
         "shards": len(shards),
         "shard_size": max((len(s) for s in shards), default=0),
@@ -272,27 +255,11 @@ def _trace_shard(
     )
 
 
-def _run_shards_inline(
-    shards: Tuple[Shard, ...], tracer, t0: float
-) -> List[Tuple[int, Dict[str, Any]]]:
-    indexed_rows: List[Tuple[int, Dict[str, Any]]] = []
-    for shard in shards:
-        shard_started = time.perf_counter()
-        __, rows = run_shard(_shard_payload(shard))
-        indexed_rows.extend(rows)
-        if tracer is not None:
-            _trace_shard(
-                tracer, shard, t0, shard_started, time.perf_counter()
-            )
-    return indexed_rows
-
-
 def _run_shards_pooled(
     shards: Tuple[Shard, ...],
     n_workers: int,
     tracer,
     t0: float,
-    engine: str = "cell",
 ) -> List[Tuple[int, Dict[str, Any]]]:
     indexed_rows: List[Tuple[int, Dict[str, Any]]] = []
     by_shard_index = {shard.index: shard for shard in shards}
@@ -305,9 +272,7 @@ def _run_shards_pooled(
         ) as pool:
             pending = {}
             for shard in shards:
-                future = pool.submit(
-                    run_shard, _shard_payload(shard, engine)
-                )
+                future = pool.submit(run_shard, _shard_payload(shard))
                 pending[future] = (shard, time.perf_counter())
             while pending:
                 done, __ = wait(

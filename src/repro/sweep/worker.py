@@ -10,8 +10,11 @@ workers share the on-disk calibration cache (:mod:`repro.caching`),
 so across processes each distinct table is simulated at most once per
 cache-cold run.
 
-Nothing here may affect *values*: every memoized object is a pure
-function of its key, so batched, unbatched, in-process and pooled
+:func:`run_shard` hands each shard to the batch engine
+(:mod:`repro.sweep.batch`); :func:`run_cell` is the scalar per-cell
+oracle that engine falls back to and the determinism tests compare
+against.  Nothing here may affect *values*: every memoized object is a
+pure function of its key, so batched, unbatched, in-process and pooled
 execution produce bit-identical rows (asserted by
 ``tests/properties/test_sweep_properties.py``).
 
@@ -269,15 +272,13 @@ def _run_calibrate_cell(cell: SweepCell) -> Dict[str, Any]:
 
 
 def run_shard(
-    payload: Tuple[Any, ...],
+    payload: Tuple[int, Tuple[Tuple[int, Dict[str, Any]], ...]],
 ) -> Tuple[int, List[Tuple[int, Dict[str, Any]]]]:
     """Execute one shard: ``(shard_index, ((cell_index, cell_dict), ...))``.
 
-    An optional third payload element selects the execution engine:
-    ``"cell"`` (default) runs the scalar per-cell loop, ``"batch"``
-    routes the shard through the vectorized engine
-    (:func:`repro.sweep.batch.run_cells_batched`) — bit-identical rows
-    either way.
+    The shard runs through the batch engine
+    (:func:`repro.sweep.batch.run_cells_batched`), which falls back per
+    cell to :func:`run_cell` where batching does not apply.
 
     Returns ``(shard_index, [(cell_index, row), ...])``.  Cell dicts
     (not :class:`SweepCell` objects) cross the process boundary so a
@@ -285,35 +286,17 @@ def run_shard(
     A failing cell aborts the whole shard with a :class:`SweepError`
     naming it — a silently absent cell must never reach the merge.
     """
-    shard_index, indexed_cells = payload[0], payload[1]
-    engine = payload[2] if len(payload) > 2 else "cell"
+    from .batch import run_cells_batched
+
+    shard_index, indexed_cells = payload
     if _INIT_ERROR is not None:
         raise SweepError(
             f"sweep worker initialization failed: {_INIT_ERROR}"
         )
-    if engine == "batch":
-        from .batch import run_cells_batched
-
-        cells = [
-            SweepCell.from_dict(cell_dict)
-            for __, cell_dict in indexed_cells
-        ]
-        report = run_cells_batched(cells)
-        return shard_index, [
-            (cell_index, row)
-            for (cell_index, __), row in zip(indexed_cells, report.rows)
-        ]
-    if engine != "cell":
-        raise SweepError(f"unknown sweep engine {engine!r}")
-    rows: List[Tuple[int, Dict[str, Any]]] = []
-    for cell_index, cell_dict in indexed_cells:
-        cell = SweepCell.from_dict(cell_dict)
-        try:
-            rows.append((cell_index, run_cell(cell)))
-        except SweepError:
-            raise
-        except Exception as exc:
-            raise SweepError(
-                f"cell {cell.cell_id!r} failed: {exc}"
-            ) from exc
-    return shard_index, rows
+    report = run_cells_batched(
+        [SweepCell.from_dict(cell_dict) for __, cell_dict in indexed_cells]
+    )
+    return shard_index, [
+        (cell_index, row)
+        for (cell_index, __), row in zip(indexed_cells, report.rows)
+    ]

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.core.batch import (
-    BATCH_VERSION,
     BatchChoice,
     advise_many,
     estimate_many,
@@ -197,7 +196,3 @@ class TestSolvePipelineGroup:
             [zeros, zeros],
         )
         assert two_phases[0] == one_phase[0] + one_phase[0]
-
-
-def test_batch_version_is_a_string():
-    assert isinstance(BATCH_VERSION, str) and BATCH_VERSION

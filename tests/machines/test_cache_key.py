@@ -69,44 +69,26 @@ class TestCacheKeyInputs:
         assert _key(t3d_machine, strides=(2, 4)) != _key(t3d_machine)
         assert _key(t3d_machine, congestion=7) != _key(t3d_machine)
 
-    def test_batch_version_bump_invalidates_key(
-        self, t3d_machine, monkeypatch
-    ):
-        """A change to the batching semantics must orphan every cached
-        table — the batched and scalar sweep engines share this cache,
-        so results produced under different batching rules must never
-        collide on one key."""
-        before = _key(t3d_machine)
-        monkeypatch.setattr(
-            measure_module,
-            "BATCH_VERSION",
-            measure_module.BATCH_VERSION + "-test-bump",
-        )
-        assert _key(t3d_machine) != before
 
+class TestSweepCalibrationAgreement:
+    """``repro sweep --grid calibration`` and ``calibrate`` measure the
+    same grid through different paths: the sweep fans entries out as
+    cells (batched per worker), ``measure_table`` loops over them in
+    one process.  Every swept rate must equal the table's entry."""
 
-class TestCrossEngineCachePoisoning:
-    """The sweep engine (cell vs batch) deliberately does NOT
-    participate in the key: both engines produce bit-identical tables,
-    so they share cache entries.  The regression pinned here is the
-    *safety* of that sharing — a table written by one engine and served
-    to the other must be byte-for-byte the table the other engine would
-    have measured itself."""
+    def test_pooled_sweep_rates_equal_measured_table(self, t3d_machine):
+        from repro.sweep import calibration_spec, run_sweep
 
-    def test_batch_and_cell_share_cache_entries(
-        self, t3d_machine, tmp_path, monkeypatch
-    ):
-        from repro.caching import CACHE_DIR_ENV, CACHE_ENV
-
-        monkeypatch.delenv(CACHE_ENV, raising=False)
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        batch = measure_table(t3d_machine, nwords=2048, engine="batch")
-        served = measure_table(t3d_machine, nwords=2048, engine="cell")
-        assert served.to_dict() == batch.to_dict()
-        fresh = measure_table(
-            t3d_machine, nwords=2048, engine="cell", use_cache=False
-        )
-        assert fresh.to_dict() == batch.to_dict()
+        spec = replace(calibration_spec("t3d"), nwords=2048)
+        result = run_sweep(spec, workers=2)
+        table = measure_table(t3d_machine, nwords=2048, use_cache=False)
+        measured = table.to_dict()
+        swept = {}
+        for cell, row in zip(result.cells, result.rows):
+            letter = cell.style
+            key = letter if letter.startswith("N") else f"{cell.x}{letter}{cell.y}"
+            swept[key] = row["mbps"]
+        assert swept == measured
 
 
 class TestCapabilityAblationTables:

@@ -3,8 +3,8 @@
 The batch engine (:mod:`repro.sweep.batch`) is a pure performance
 strategy: grouping, broadcasting and vectorized folds may never change
 a single bit of the canonical payload.  These properties drive random
-:class:`~repro.sweep.SweepSpec` grids through ``engine="batch"`` and
-compare canonical JSON (hence SHA-256 digests) against the serial
+:class:`~repro.sweep.SweepSpec` grids through :func:`~repro.sweep.run_sweep`
+(in-process and pooled, both batched) and compare canonical JSON (hence SHA-256 digests) against the serial
 reference loop — including fault-seeded cells and other shapes the
 batch path cannot express, which must *fall back* to the scalar oracle
 per cell rather than drift.
@@ -92,7 +92,7 @@ class TestBatchBitIdentity:
     @given(spec=transfer_specs())
     def test_batch_engine_matches_serial_reference(self, spec):
         reference = run_serial(spec, batched=True)
-        batched = run_sweep(spec, workers=1, engine="batch")
+        batched = run_sweep(spec, workers=1)
         assert batched.canonical_json() == reference.canonical_json()
         assert batched.digest() == reference.digest()
 
@@ -106,9 +106,7 @@ class TestBatchBitIdentity:
         self, spec, workers, shard_size
     ):
         reference = run_serial(spec, batched=True)
-        pooled = run_sweep(
-            spec, workers=workers, shard_size=shard_size, engine="batch"
-        )
+        pooled = run_sweep(spec, workers=workers, shard_size=shard_size)
         assert pooled.canonical_json() == reference.canonical_json()
 
     @SLOW_SETTINGS
@@ -119,7 +117,7 @@ class TestBatchBitIdentity:
         payload must still match the reference bit for bit."""
         seeded = dataclasses.replace(spec, seeds=(NOMINAL_SEED, 3, 11))
         reference = run_serial(seeded, batched=True)
-        batched = run_sweep(seeded, workers=1, engine="batch")
+        batched = run_sweep(seeded, workers=1)
         assert batched.canonical_json() == reference.canonical_json()
         n_seeded = sum(
             1 for cell in batched.cells if cell.seed != NOMINAL_SEED
@@ -195,7 +193,7 @@ class TestSimulatedRatesParity:
         monkeypatch.setenv(CACHE_ENV, "off")
         spec = dataclasses.replace(calibration_spec("t3d"), nwords=4096)
         reference = run_serial(spec, batched=True)
-        batched = run_sweep(spec, workers=1, engine="batch")
+        batched = run_sweep(spec, workers=1)
         assert batched.canonical_json() == reference.canonical_json()
 
     def test_figure7_grid_batch_vs_serial(self):
@@ -203,6 +201,6 @@ class TestSimulatedRatesParity:
 
         spec = figure7_spec()
         assert (
-            run_sweep(spec, workers=1, engine="batch").digest()
+            run_sweep(spec, workers=1).digest()
             == run_serial(spec, batched=True).digest()
         )

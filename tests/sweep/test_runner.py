@@ -138,7 +138,7 @@ class TestWorkerCrash:
 class TestTracing:
     def test_sweep_emits_shard_spans_and_counters(self):
         with tracing() as tracer:
-            run_sweep(FAST_SPEC, workers=1, shard_size=4)
+            run_sweep(FAST_SPEC, workers=2, shard_size=4)
         counters = tracer.metrics.counters()
         assert counters["sweep.cells"] == 12
         assert counters["sweep.shards"] == 3
