@@ -19,6 +19,9 @@ under ``src/repro/``:
   produce their seeded CT21x findings, every payload passes the
   ``repro-verify-report/1`` validator, and fault coverage is complete
   on both machines.
+* **SC005** — schema tags live in one place: no string literal outside
+  ``repro/contract.py`` may contain a ``repro-<name>/<N>`` tag (use
+  the contract's constant).  Docstrings are exempt.
 
 Exit status: 0 when clean, 1 when any violation is found.
 """
@@ -26,6 +29,7 @@ Exit status: 0 when clean, 1 when any violation is found.
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 from typing import Dict, Iterator, List, Set, Tuple
@@ -34,6 +38,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
 
 MUTABLE_CALLS = ("list", "dict", "set")
+
+CONTRACT = PACKAGE_ROOT / "contract.py"
+
+SCHEMA_TAG = re.compile(r"repro-[a-z]+(?:-[a-z]+)*/[0-9]+")
 
 
 def iter_modules() -> Iterator[Tuple[Path, ast.Module]]:
@@ -177,6 +185,41 @@ def check_all_consistency(path: Path, tree: ast.Module) -> Iterator[str]:
             )
 
 
+def docstring_ids(tree: ast.Module) -> Set[int]:
+    """``id()`` of every docstring constant in a module."""
+    found: Set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                found.add(id(first.value))
+    return found
+
+
+def check_schema_tag_literals(path: Path, tree: ast.Module) -> Iterator[str]:
+    if path == CONTRACT:
+        return
+    docstrings = docstring_ids(tree)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ):
+            match = SCHEMA_TAG.search(node.value)
+            if match:
+                yield (
+                    f"SC005 {path.relative_to(REPO_ROOT)}:{node.lineno}: "
+                    f"schema tag {match.group()!r} written as a literal; "
+                    "use its constant in repro.contract"
+                )
+
+
 def check_verifier_examples() -> Iterator[str]:
     """SC004: run the verify passes over the repo's own example plans."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -224,6 +267,7 @@ def main() -> int:
     for path, tree in modules:
         violations.extend(check_mutable_dataclass_defaults(path, tree))
         violations.extend(check_all_consistency(path, tree))
+        violations.extend(check_schema_tag_literals(path, tree))
     violations.extend(check_error_docstrings(modules))
     violations.extend(check_verifier_examples())
     for violation in violations:

@@ -55,6 +55,7 @@ import json as json_module
 import sys
 from typing import Optional
 
+from . import contract
 from .core.errors import ModelError
 from .core.patterns import AccessPattern
 from .core.operations import OperationStyle
@@ -140,12 +141,10 @@ def cmd_estimate(args: argparse.Namespace) -> None:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     from .analysis import (
-        LINT_SCHEMA,
         analyze,
         has_errors,
         parse_expr,
         render_report,
-        validate_lint_report,
         verify_expr,
     )
 
@@ -190,7 +189,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     all_diagnostics = [d for __, diagnostics in results for d in diagnostics]
     if args.json:
         payload = {
-            "schema": LINT_SCHEMA,
+            "schema": contract.LINT_REPORT,
             "results": [
                 {
                     "notation": expr.notation(),
@@ -206,11 +205,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
             },
             "ok": not has_errors(all_diagnostics),
         }
-        errors = validate_lint_report(payload)
-        if errors:
-            raise ModelError(
-                "lint report fails its own schema: " + "; ".join(errors)
-            )
+        contract.require_valid(payload, contract.LINT_TABLE, "lint report")
         print(json_module.dumps(payload, indent=2))
     else:
         for expr, diagnostics in results:
@@ -223,7 +218,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .analysis import (
         parse_expr,
         results_payload,
-        validate_verify_report,
         verify_expr,
         verify_plan,
     )
@@ -281,11 +275,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ]
 
     payload = results_payload(results)
-    errors = validate_verify_report(payload)
-    if errors:
-        raise ModelError(
-            "verify report fails its own schema: " + "; ".join(errors)
-        )
+    contract.require_valid(payload, contract.VERIFY_TABLE, "verify report")
     if args.json:
         print(json_module.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -315,7 +305,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         render_timeline,
         tracing,
         utilization,
-        validate_chrome_trace,
     )
 
     machine = _machine(args.machine)
@@ -419,11 +408,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             "step": args.step,
         },
     )
-    errors = validate_chrome_trace(payload)
-    if errors:
-        raise ModelError(
-            "emitted trace fails its own schema: " + "; ".join(errors)
-        )
+    contract.require_valid(payload, contract.TRACE_TABLE, "emitted trace")
     with open(args.out, "w") as handle:
         json_module.dump(payload, handle, indent=2)
 
@@ -616,6 +601,7 @@ def cmd_load(args: argparse.Namespace) -> int:
         # go to stderr instead (the sweep convention).
         payload = dict(result.to_dict())
         payload["digest"] = result.digest()
+        contract.require_valid(payload, contract.LOAD_TABLE, "load report")
         print(json_module.dumps(payload, indent=2, sort_keys=True))
         print(
             f"load: {events} events in {elapsed:.2f}s "
@@ -791,7 +777,7 @@ def _cmd_faults_sweep(args, machine, x, y, style) -> int:
             }
         )
     payload = {
-        "schema": "repro-faults-sweep/1",
+        "schema": contract.FAULTS_SWEEP,
         "machine": machine.name,
         "operation": f"{args.x}Q{args.y}",
         "style": style.value,
@@ -816,7 +802,7 @@ def _cmd_faults_sweep(args, machine, x, y, style) -> int:
 
 def cmd_faults(args: argparse.Namespace) -> int:
     from .core.operations import OperationStyle as Style
-    from .faults import FaultPlan, injecting, validate_faults_report
+    from .faults import FaultPlan, injecting
     from .runtime.engine import CommRuntime
     from .trace import tracing
 
@@ -908,7 +894,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         if name.startswith(("faults.", "step.", "cache."))
     }
     payload = {
-        "schema": "repro-faults-report/1",
+        "schema": contract.FAULTS_REPORT,
         "machine": machine.name,
         "operation": f"{args.x}Q{args.y}",
         "style": style.value,
@@ -935,11 +921,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         "delta": {"throughput_pct": delta_pct},
         "counters": counters,
     }
-    errors = validate_faults_report(payload)
-    if errors:
-        raise ModelError(
-            "faults report fails its own schema: " + "; ".join(errors)
-        )
+    contract.require_valid(payload, contract.FAULTS_TABLE, "faults report")
     if args.json:
         print(json_module.dumps(payload, indent=2))
         return EXIT_OK
@@ -1075,7 +1057,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "and append their diagnostics")
     lint.add_argument("--json", action="store_true",
                       help="emit machine-readable diagnostics "
-                           "(repro-lint-report/1)")
+                           f"({contract.LINT_REPORT})")
 
     verify = commands.add_parser(
         "verify",
@@ -1133,7 +1115,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated rule ids to run (default: all)")
     verify.add_argument("--json", action="store_true",
                         help="emit the machine-readable report "
-                             "(repro-verify-report/1)")
+                             f"({contract.VERIFY_REPORT})")
 
     measure = commands.add_parser("measure", help="end-to-end measurement")
     measure.add_argument("--machine", default="t3d", choices=sorted(MACHINES))
@@ -1402,8 +1384,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "the latency-vs-load curve with its knee; "
                            "--workers then fans points over processes")
     load.add_argument("--json", action="store_true",
-                      help="emit the repro-load-report/1 payload (or "
-                           "repro-load-curve/1 with --latency-curve)")
+                      help=f"emit the {contract.LOAD_REPORT} payload (or "
+                           f"{contract.LOAD_CURVE} with --latency-curve)")
 
     commands.add_parser("report", help="regenerate all paper comparisons")
     return parser

@@ -29,6 +29,7 @@ Quickstart::
         print(diagnostic.render())          # CT101 error: ...
 """
 
+from ..contract import LINT_REPORT as LINT_SCHEMA, validate_lint_report
 from .diagnostics import (
     Diagnostic,
     Severity,
@@ -39,7 +40,6 @@ from .diagnostics import (
 )
 from .linter import analyze, analyze_plan, select_rules
 from .parser import NotationError, parse_expr
-from .report import LINT_SCHEMA, validate_lint_report
 from .rules import RULES, AnalysisContext, Finding, PlanContext, Rule, rule
 from .verify import (
     PlanIR,

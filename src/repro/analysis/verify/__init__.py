@@ -18,6 +18,7 @@ Entry points: :func:`verify_expr`, :func:`verify_plan`,
 ``python -m repro verify`` CLI.
 """
 
+from ...contract import VERIFY_REPORT as SCHEMA, validate_verify_report
 from .api import (
     DEFAULT_NBYTES,
     VerifyResult,
@@ -47,7 +48,6 @@ from .ir import (
     phase_partition,
 )
 from .passes import VerifyContext, run_verify, simulate_rendezvous
-from .report import SCHEMA, validate_verify_report
 
 __all__ = [
     "CommAction",

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from ...contract import VERIFY_REPORT
 from ...core.composition import Expr
 from ...core.errors import CompositionError, ModelError
 from ...core.model import CopyTransferModel
@@ -336,13 +337,11 @@ def _merge_counts(
 
 def results_payload(results: Sequence[VerifyResult]) -> Dict[str, Any]:
     """The ``repro-verify-report/1`` envelope over several results."""
-    from .report import SCHEMA
-
     payload_results: List[Dict[str, Any]] = [
         result.to_dict() for result in results
     ]
     return {
-        "schema": SCHEMA,
+        "schema": VERIFY_REPORT,
         "ok": all(result.ok for result in results),
         "counts": _merge_counts(results),
         "results": payload_results,

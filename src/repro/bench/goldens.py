@@ -26,6 +26,8 @@ import math
 import os
 from typing import Callable, Dict, List, Tuple
 
+from ..contract import GOLDEN as GOLDEN_SCHEMA
+
 __all__ = [
     "GOLDEN_SCHEMA",
     "GOLDEN_TARGETS",
@@ -40,9 +42,6 @@ __all__ = [
     "json_diff",
     "render_mismatches",
 ]
-
-#: Schema tag embedded in every golden file.
-GOLDEN_SCHEMA = "repro-golden/1"
 
 #: Default per-cell relative tolerance.  The simulation is pure
 #: deterministic float arithmetic, so goldens reproduce exactly on the

@@ -26,7 +26,6 @@ Set ``REPRO_CACHE=off`` to disable both layers process-wide.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 import tempfile
@@ -34,6 +33,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Optional
 
+from .contract import digest
 from .core.calibration import ThroughputTable
 from .core.serialization import table_from_dict, table_to_dict
 from .trace.tracer import current_tracer
@@ -80,10 +80,7 @@ def _canonical(value: Any) -> Any:
 
 def content_key(*parts: Any) -> str:
     """A stable hex digest of arbitrary (mostly-dataclass) key parts."""
-    payload = json.dumps(
-        _canonical(parts), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return digest(_canonical(parts))
 
 
 def _caching_disabled() -> bool:

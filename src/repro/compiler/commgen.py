@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..contract import COMM_PLAN
 from ..core.patterns import AccessPattern, CONTIGUOUS
 from ..memsim.config import WORD_BYTES
 from .classify import classify_offsets, effective_pattern
@@ -144,15 +145,15 @@ class CommPlan:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready form (``repro-comm-plan/1``)."""
         return {
-            "schema": "repro-comm-plan/1",
+            "schema": COMM_PLAN,
             "name": self.name,
             "ops": [op.to_dict() for op in self.ops],
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "CommPlan":
-        schema = payload.get("schema", "repro-comm-plan/1")
-        if schema != "repro-comm-plan/1":
+        schema = payload.get("schema", COMM_PLAN)
+        if schema != COMM_PLAN:
             raise ValueError(f"unsupported plan schema {schema!r}")
         ops_payload = payload.get("ops")
         if not isinstance(ops_payload, list):

@@ -24,7 +24,7 @@ absent plan is guaranteed bit-identical to the fault-free path.
 from .degrade import DegradedResult
 from .network import FaultyTopology, degraded_congestion, reroute_report
 from .policy import RecoveryCharge, RetryPolicy, recovery_charge
-from .report import validate_faults_report
+from ..contract import validate_faults_report
 from .spec import (
     DepositFault,
     FaultPlan,

@@ -31,9 +31,9 @@ from .overload import (
     admission_by_name,
 )
 from .queues import Station
-from .report import (
-    OVERLOAD_SCHEMA,
-    SCHEMA,
+from ..contract import (
+    LOAD_OVERLOAD as OVERLOAD_SCHEMA,
+    LOAD_REPORT as SCHEMA,
     canonical_json,
     digest,
     validate_load_report,

@@ -38,6 +38,13 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..contract import (
+    GENERATOR_KEYS,
+    LOAD_OVERLOAD,
+    LOAD_REPORT,
+    canonical_json,
+    digest,
+)
 from ..core.errors import ModelError, TransferAbortedError
 from ..core.operations import OperationStyle
 from ..core.patterns import AccessPattern
@@ -50,7 +57,6 @@ from .dispatch import policy_by_name
 from .latency import LatencyStore
 from .overload import OverloadSpec, admission_by_name
 from .queues import Station
-from .report import GENERATOR_KEYS
 from .workload import LoadProfile, RequestTemplate, uniform
 
 __all__ = ["LoadEngine", "LoadResult"]
@@ -123,7 +129,7 @@ class LoadResult:
             self.completed / self.end_ns * 1e9 if self.end_ns > 0.0 else 0.0
         )
         payload = {
-            "schema": "repro-load-report/1",
+            "schema": LOAD_REPORT,
             "machine": self.profile.machine,
             "profile": self.profile.to_dict(),
             "seed": self.seed,
@@ -146,13 +152,9 @@ class LoadResult:
         return payload
 
     def canonical_json(self) -> str:
-        from .report import canonical_json
-
         return canonical_json(self.to_dict())
 
     def digest(self) -> str:
-        from .report import digest
-
         return digest(self.to_dict())
 
 
@@ -649,7 +651,7 @@ class LoadEngine:
         overload_summary: Optional[Dict[str, Any]] = None
         if protected:
             overload_summary = {
-                "schema": "repro-load-overload/1",
+                "schema": LOAD_OVERLOAD,
                 "spec": ospec.to_dict(),
                 "admission": admission.describe(),
                 "generators": gen_counts,

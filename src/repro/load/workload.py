@@ -13,21 +13,20 @@ A :class:`LoadProfile` says *who* sends *what* at the machine:
   complete, think for ``think_ns``, and reissue.
 
 All randomness (arrival gaps, template picks) is drawn through the
-pure-hash :func:`uniform` below — a function of ``(seed, key)`` only,
-exactly like :meth:`repro.faults.FaultPlan.uniform` — so a profile
+pure-hash :func:`repro.contract.uniform` — a function of
+``(seed, key)`` only, the draw :meth:`repro.faults.FaultPlan.uniform`
+makes too — so a profile
 replays bit-identically for a given seed no matter how generators are
 sharded across workers or interleaved in the event loop.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import struct
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Sequence, Tuple
 
+from ..contract import uniform
 from ..core.errors import ModelError
 from .overload import OverloadSpec
 
@@ -40,21 +39,6 @@ __all__ = [
     "profile_by_name",
     "uniform",
 ]
-
-
-def uniform(seed: int, *key: Any) -> float:
-    """A reproducible uniform draw in ``[0, 1)`` for ``(seed, key)``.
-
-    A pure function with no RNG state: call order, worker sharding and
-    event interleaving cannot perturb replay (the ``repro.faults``
-    idiom).
-    """
-    payload = json.dumps(
-        [seed, [repr(part) for part in key]], separators=(",", ":")
-    )
-    digest = hashlib.sha256(payload.encode()).digest()
-    (word,) = struct.unpack(">Q", digest[:8])
-    return word / float(1 << 64)
 
 
 def exponential(mean: float, seed: int, *key: Any) -> float:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..contract import LOAD_CURVE as CURVE_SCHEMA
 from ..core.errors import LoadError
 from ..faults.spec import FaultPlan
 from ..load.engine import LoadEngine
@@ -32,8 +33,6 @@ from ..load.workload import LoadProfile
 from .runner import _pool_context
 
 __all__ = ["CURVE_SCHEMA", "run_load_curve"]
-
-CURVE_SCHEMA = "repro-load-curve/1"
 
 #: Default sweep: half capacity through deep saturation.
 DEFAULT_MULTIPLIERS = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)

@@ -15,17 +15,14 @@ canonical payload (:meth:`SweepResult.to_dict`) and the digest.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..contract import SWEEP_RESULT as RESULT_SCHEMA
+from ..contract import canonical_json, digest
 from .spec import SweepCell, SweepError, SweepSpec
 
 __all__ = ["SweepResult", "merge_rows", "RESULT_SCHEMA"]
-
-#: Schema tag embedded in every serialized sweep result.
-RESULT_SCHEMA = "repro-sweep-result/1"
 
 
 @dataclass(frozen=True)
@@ -73,13 +70,11 @@ class SweepResult:
         these strings are equal — this is the representation the
         determinism tests and the digest are defined over.
         """
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
+        return canonical_json(self.to_dict())
 
     def digest(self) -> str:
         """SHA-256 of :meth:`canonical_json` (cheap equality witness)."""
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        return digest(self.to_dict())
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SweepResult":

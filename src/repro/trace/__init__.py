@@ -37,7 +37,7 @@ from .tracer import (
     tracing,
 )
 from .export import chrome_trace, render_timeline, utilization
-from .schema import validate_chrome_trace
+from ..contract import validate_chrome_trace
 
 __all__ = [
     "CounterSample",

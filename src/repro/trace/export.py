@@ -21,7 +21,8 @@ def chrome_trace(
     """Export as the Chrome Trace Event JSON Object Format.
 
     The result loads directly in ``chrome://tracing`` and Perfetto;
-    see :mod:`repro.trace.schema` for the exact subset emitted.
+    :data:`repro.contract.TRACE_TABLE` describes the exact subset
+    emitted.
     """
     tracks = {name: index for index, name in enumerate(tracer.tracks())}
     events: List[Dict[str, Any]] = []

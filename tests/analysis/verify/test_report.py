@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis import validate_lint_report, validate_verify_report
 from repro.analysis.verify.examples import example_payload
-from repro.analysis.verify.report import SCHEMA
+from repro.analysis.verify import SCHEMA
 
 
 @pytest.fixture()

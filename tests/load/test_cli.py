@@ -52,6 +52,26 @@ class TestLoadCommand:
         assert payload["machine"] == "paragon"
         assert payload["profile"]["nodes"] == 4
 
+    def test_json_payload_checks_its_own_schema(self, capsys, monkeypatch):
+        from repro.load import LoadResult
+
+        emit = LoadResult.to_dict
+
+        def corrupted(self):
+            payload = emit(self)
+            payload["offered"] = -1
+            return payload
+
+        monkeypatch.setattr(LoadResult, "to_dict", corrupted)
+        assert main([
+            "load", "--seed", "7", "--duration", "0.005", "--json",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: load report fails its own")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "offered" in captured.err
+
     def test_unknown_profile_is_one_line_error(self, capsys):
         assert main(["load", "--profile", "nope"]) == 1
         err = capsys.readouterr().err

@@ -97,7 +97,7 @@ class TestPayload:
 
 class TestDeterminism:
     def test_workers_do_not_change_the_payload(self):
-        from repro.load.report import canonical_json
+        from repro.contract import canonical_json
 
         serial = _curve(multipliers=(0.5, 1.0, 2.0))
         fanned = _curve(multipliers=(0.5, 1.0, 2.0), workers=3)
