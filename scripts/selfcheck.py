@@ -22,6 +22,11 @@ under ``src/repro/``:
 * **SC005** — schema tags live in one place: no string literal outside
   ``repro/contract.py`` may contain a ``repro-<name>/<N>`` tag (use
   the contract's constant).  Docstrings are exempt.
+* **SC006** — the runtime reads the tracer once per transfer:
+  ``current_tracer`` appears nowhere in ``runtime/stages.py`` (the
+  pipeline returns chunk rows instead), and in ``runtime/engine.py``
+  it is read only inside ``CommRuntime.transfer``, which hands the
+  transfer's ledger to the one emitter.
 
 Exit status: 0 when clean, 1 when any violation is found.
 """
@@ -32,7 +37,7 @@ import ast
 import re
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
@@ -42,6 +47,15 @@ MUTABLE_CALLS = ("list", "dict", "set")
 CONTRACT = PACKAGE_ROOT / "contract.py"
 
 SCHEMA_TAG = re.compile(r"repro-[a-z]+(?:-[a-z]+)*/[0-9]+")
+
+TRACER_READ = "current_tracer"
+#: Modules whose tracer reads are confined, and the one function (as a
+#: class/def nesting path) allowed to read it; ``None`` means nowhere,
+#: not even an import.
+TRACER_SCOPES: Dict[Path, Optional[Tuple[str, ...]]] = {
+    PACKAGE_ROOT / "runtime" / "stages.py": None,
+    PACKAGE_ROOT / "runtime" / "engine.py": ("CommRuntime", "transfer"),
+}
 
 
 def iter_modules() -> Iterator[Tuple[Path, ast.Module]]:
@@ -220,6 +234,42 @@ def check_schema_tag_literals(path: Path, tree: ast.Module) -> Iterator[str]:
                 )
 
 
+def check_tracer_reads(path: Path, tree: ast.Module) -> Iterator[str]:
+    if path not in TRACER_SCOPES:
+        return
+    allowed = TRACER_SCOPES[path]
+    rel = path.relative_to(REPO_ROOT)
+
+    def walk(node: ast.AST, scope: Tuple[str, ...]) -> Iterator[str]:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            read = (
+                isinstance(child, ast.Name) and child.id == TRACER_READ
+                or isinstance(child, ast.Attribute)
+                and child.attr == TRACER_READ
+            )
+            imported = (
+                isinstance(child, ast.alias) and child.name == TRACER_READ
+            )
+            if (read and inner != allowed) or (imported and allowed is None):
+                where = (
+                    "in a module that must not read the tracer"
+                    if allowed is None
+                    else "outside " + ".".join(allowed)
+                )
+                yield (
+                    f"SC006 {rel}:{getattr(child, 'lineno', node.lineno)}: "
+                    f"{TRACER_READ} referenced {where}; record ledger "
+                    "rows and let the runtime's one emitter trace them"
+                )
+            yield from walk(child, inner)
+
+    yield from walk(tree, ())
+
+
 def check_verifier_examples() -> Iterator[str]:
     """SC004: run the verify passes over the repo's own example plans."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -268,6 +318,7 @@ def main() -> int:
         violations.extend(check_mutable_dataclass_defaults(path, tree))
         violations.extend(check_all_consistency(path, tree))
         violations.extend(check_schema_tag_literals(path, tree))
+        violations.extend(check_tracer_reads(path, tree))
     violations.extend(check_error_docstrings(modules))
     violations.extend(check_verifier_examples())
     for violation in violations:

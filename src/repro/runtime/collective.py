@@ -175,28 +175,6 @@ class CommunicationStep:
             max(sends.get(node, 0), receives.get(node, 0)) for node in nodes
         )
 
-    def _steady_state_ns(self, sample: MeasuredTransfer) -> float:
-        """Per-message cost once the message stream is pipelined.
-
-        Every node both sends and receives, and a node has one
-        processor, so its send-side and receive-side software costs
-        land on the same resource and add up; background engines and
-        the wire overlap.  Each message also pays a synchronization
-        cost (partner switch, flow-control handshake) that cannot be
-        pipelined away.
-        """
-        busy = dict(sample.resource_busy_ns)
-        cpu = busy.pop("sender_cpu", 0.0) + busy.pop("receiver_cpu", 0.0)
-        # NB: not ``max([cpu] + list(...) or [fallback])`` — ``+`` binds
-        # tighter than ``or``, which made the fallback dead code.  An
-        # all-zero busy profile (fully hardware-paced transfer) must
-        # fall back to the end-to-end time, not a 0 ns bottleneck.
-        bottleneck = max([cpu, *busy.values()])
-        if bottleneck <= 0.0:
-            bottleneck = sample.ns
-        efficiency = self.runtime.machine.quirks.runtime_efficiency
-        return bottleneck / efficiency + self.sync_per_message_ns
-
     def run(self, style: OperationStyle = OperationStyle.CHAINED) -> StepResult:
         """Execute the step and report per-node throughput."""
         plan = self._fault_plan()
@@ -217,8 +195,14 @@ class CommunicationStep:
             dst=dst,
         )
         # The first message pays full end-to-end latency; subsequent
-        # messages pipeline behind it at the steady-state cost.
-        steady_ns = self._steady_state_ns(sample)
+        # messages pipeline behind it at the steady-state cost: the
+        # node's bottleneck resource plus a synchronization cost
+        # (partner switch, flow-control handshake) that cannot be
+        # pipelined away.
+        efficiency = self.runtime.machine.quirks.runtime_efficiency
+        steady_ns = (
+            sample.bottleneck_busy_ns() / efficiency + self.sync_per_message_ns
+        )
         step_ns = sample.ns + self.sync_per_message_ns + (messages - 1) * steady_ns
         bytes_per_node = self.bytes_per_flow * messages
         tracer = current_tracer()

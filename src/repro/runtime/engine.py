@@ -25,7 +25,18 @@ that make real measurements land 10-20% under the model (Figures 7/8).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.errors import (
     CalibrationError,
@@ -40,7 +51,7 @@ from ..faults.policy import recovery_charge
 from ..faults.spec import FaultPlan, current_fault_plan
 from ..machines.base import Machine
 from ..memsim.config import WORD_BYTES
-from ..trace.tracer import current_tracer
+from ..trace.tracer import Tracer, current_tracer
 from .libraries import LibraryProfile, lowlevel_profile
 from .stages import Stage, StagePipeline
 
@@ -56,6 +67,9 @@ __all__ = ["MeasuredTransfer", "CommRuntime", "CPU_CHUNK_OVERHEAD_NS", "measure_
 CPU_CHUNK_OVERHEAD_NS = 1500.0
 
 _FIXED = AccessPattern.fixed()
+
+#: The one fault that forces a fallback path (see ``DegradedResult``).
+_DEPOSIT_FAULT = "deposit-engine-unavailable"
 
 
 @dataclass(frozen=True)
@@ -93,14 +107,18 @@ class MeasuredTransfer:
     def bottleneck_busy_ns(self) -> float:
         """Busy time of the most-loaded resource for this message.
 
-        When an application issues many messages back to back, the
-        steady-state cost per message is this figure, not the full
-        end-to-end latency: other resources overlap with the next
-        message (software pipelining across messages).
+        When a node streams such messages back to back, the steady-state
+        cost per message is this figure, not the full end-to-end
+        latency: background engines and the wire overlap with the next
+        message.  A node has one processor, so its send-side and
+        receive-side software costs land on the same resource and add
+        up.  A profile with no busy time (a fully hardware-paced
+        transfer) falls back to the end-to-end time, never 0 ns.
         """
-        if not self.resource_busy_ns:
-            return self.ns
-        return max(busy for __, busy in self.resource_busy_ns)
+        busy = dict(self.resource_busy_ns)
+        cpu = busy.pop("sender_cpu", 0.0) + busy.pop("receiver_cpu", 0.0)
+        bottleneck = max([cpu, *busy.values()])
+        return bottleneck if bottleneck > 0.0 else self.ns
 
     def __str__(self) -> str:
         return (
@@ -116,6 +134,125 @@ class _Phase:
     name: str
     stages: Tuple[Stage, ...]
     chunk_bytes: int
+
+
+def _rescaled(
+    phases: List[_Phase], rate: Callable[[Stage], float]
+) -> List[_Phase]:
+    """``phases`` with every stage's rate replaced by ``rate(stage)``."""
+    return [
+        _Phase(
+            phase.name,
+            tuple(
+                Stage(s.name, rate(s), s.resource, s.chunk_overhead_ns,
+                      s.startup_ns)
+                for s in phase.stages
+            ),
+            phase.chunk_bytes,
+        )
+        for phase in phases
+    ]
+
+
+#: Ledger tracks that carry a metric instead of a span: the row's
+#: ``ns`` field holds the counter increment or the observed value.
+_COUNT = "count"
+_OBSERVE = "observe"
+#: Span category per logical track; every other track is a resource.
+_CATEGORY = {"phase": "phase", "faults": "fault"}
+#: Phase-track rows charged on top of the executed phases, so left out
+#: of ``MeasuredTransfer.phase_ns``.
+_CHARGES = frozenset({"library-overhead", "efficiency-derate", "duplex-memory-cap"})
+_NO_ARGS: Mapping[str, Any] = MappingProxyType({})
+
+
+#: One ledger row: ``(name, track, start_ns, ns, args, busy, chunks)``.
+#: A span of ``ns`` at ``start_ns`` on ``track`` with span ``args`` —
+#: or, on the :data:`_COUNT` / :data:`_OBSERVE` tracks, a metric.
+#: ``busy`` is the ``(resource, ns)`` time the row keeps resources busy;
+#: ``chunks`` is a pipeline phase's recorded chunk occupancy
+#: (:attr:`~repro.runtime.stages.PipelineResult.chunks`), clocked from
+#: the phase's start.  Plain tuples: a transfer writes ten of them.
+_Row = Tuple[Any, ...]
+
+
+class _Ledger(List[_Row]):
+    """A transfer's ordered rows, with the running end of its phases.
+
+    ``clock`` is the sum of every phase row charged so far, added in
+    row order: the raw end-to-end time before the residual.
+    """
+
+    clock = 0.0
+
+    def phase(
+        self,
+        name: str,
+        ns: float,
+        args: Mapping[str, Any],
+        busy: Tuple = (),
+        chunks: Tuple = (),
+    ) -> None:
+        """Charge a phase at the end of the ones before it."""
+        self.append((name, "phase", self.clock, ns, args, busy, chunks))
+        self.clock += ns
+
+    def span(
+        self, name: str, track: str, start_ns: float, ns: float, args: Mapping
+    ) -> None:
+        """Record a span that charges nothing to the clock."""
+        self.append((name, track, start_ns, ns, args, (), ()))
+
+    def count(self, name: str, value: float = 1.0) -> None:
+        self.append((name, _COUNT, 0.0, value, _NO_ARGS, (), ()))
+
+    def observe(self, name: str, value: float) -> None:
+        self.append((name, _OBSERVE, 0.0, value, _NO_ARGS, (), ()))
+
+    def phase_ns(self) -> Tuple[Tuple[str, float], ...]:
+        """Executed phases and fault recovery, by name, in order."""
+        return tuple(
+            (row[0], row[3]) for row in self
+            if row[1] == "phase" and row[0] not in _CHARGES
+        )
+
+    def resource_busy_ns(self) -> Tuple[Tuple[str, float], ...]:
+        busy: Dict[str, float] = {}
+        for row in self:
+            for resource, ns in row[5]:
+                busy[resource] = busy.get(resource, 0.0) + ns
+        return tuple(sorted(busy.items()))
+
+
+def _emit(tracer: Tracer, ledger: Sequence[_Row]) -> None:
+    """Write a transfer's ledger to ``tracer``: the runtime's only tracing.
+
+    Metric rows become counter increments and histogram observations.
+    A pipeline phase writes its chunk rows first, as ``phase:stage``
+    spans on their resource tracks shifted onto the transfer's clock
+    (each resource wait observed), then its own span.  A zero-length
+    row (a library with no software cost, a residual that came out
+    non-positive) draws no span.
+    """
+    for name, track, start_ns, ns, args, __, chunks in ledger:
+        if track == _COUNT:
+            tracer.count(name, ns)
+        elif track == _OBSERVE:
+            tracer.observe(name, ns)
+        elif ns > 0.0:
+            for label, resource, at_ns, chunk_ns, chunk_args in chunks:
+                tracer.span(
+                    f"{name}:{label}", resource, start_ns + at_ns, chunk_ns,
+                    "stage", **chunk_args,
+                )
+                if chunk_args["wait_ns"] > 0.0:
+                    tracer.observe(
+                        "pipeline.resource_wait_ns", chunk_args["wait_ns"]
+                    )
+            tracer.span(
+                name, track, start_ns, ns, _CATEGORY.get(track, "stage"),
+                **args,
+            )
 
 
 class CommRuntime:
@@ -366,30 +503,35 @@ class CommRuntime:
         style: OperationStyle = OperationStyle.CHAINED,
         congestion: Optional[float] = None,
         deposit_ok: bool = True,
+        duplex: bool = False,
     ) -> List[_Phase]:
         """The stage pipeline a transfer would execute, without running it.
 
-        This is the static view the plan verifier lowers into its IR:
-        the same ``_Phase`` list :meth:`transfer` builds, with no
-        measurement, fault charging or degradation applied.  Raises
-        :class:`CompositionError` exactly when :meth:`transfer` would.
+        This is the planner :meth:`transfer` runs, and the static view
+        the plan verifier lowers into its IR: no measurement, fault
+        charging or degradation applied.  ``duplex`` slows every
+        memory-touching stage by the machine's bus-interleave quirk.
+        Raises :class:`CompositionError` exactly when :meth:`transfer`
+        would.
         """
         if nbytes <= 0:
             raise ValueError(f"need a positive transfer size, got {nbytes}")
         if congestion is None:
             congestion = self.default_congestion
-        style = (
-            style
-            if isinstance(style, OperationStyle)
-            else OperationStyle(style)
+        build = (
+            self._packing_phases
+            if OperationStyle(style) is OperationStyle.BUFFER_PACKING
+            else self._chained_phases
         )
-        if style is OperationStyle.BUFFER_PACKING:
-            return self._packing_phases(
-                x, y, nbytes, congestion, deposit_ok=deposit_ok
+        phases = build(x, y, nbytes, congestion, deposit_ok)
+        scale = self.machine.quirks.bus_interleave_scale
+        if duplex and scale != 1.0:
+            phases = _rescaled(
+                phases,
+                lambda s: s.rate_mbps if s.resource == "network"
+                else s.rate_mbps / scale,
             )
-        return self._chained_phases(
-            x, y, nbytes, congestion, deposit_ok=deposit_ok
-        )
+        return phases
 
     # -- execution ----------------------------------------------------------------
 
@@ -432,16 +574,13 @@ class CommRuntime:
         fault, the fallback and the throughput delta.  Fragment faults
         charge ``retry``/``backoff`` phases per the plan's
         :class:`~repro.faults.policy.RetryPolicy`.
+
+        With a tracer installed the transfer's ledger is emitted once
+        it is complete, or as far as it got when the transfer aborts.
         """
-        if nbytes <= 0:
-            raise ValueError(f"need a positive transfer size, got {nbytes}")
         if congestion is None:
             congestion = self.default_congestion
-        style = (
-            style
-            if isinstance(style, OperationStyle)
-            else OperationStyle(style)
-        )
+        style = OperationStyle(style)
         # Fast exit before any per-phase fault bookkeeping: an explicit
         # plan (even an empty one) shadows the context plan, and an
         # empty plan in either position resolves to "no faults" here,
@@ -452,9 +591,16 @@ class CommRuntime:
             plan = current_fault_plan()
             if plan is not None and plan.is_empty():
                 plan = None
-        return self._execute(
-            x, y, nbytes, style, congestion, duplex, analyze, plan, src, dst
-        )
+        tracer = current_tracer()
+        ledger = _Ledger()
+        try:
+            return self._execute(
+                x, y, nbytes, style, congestion, duplex, analyze, plan,
+                src, dst, ledger, tracer is not None,
+            )
+        finally:
+            if tracer is not None:
+                _emit(tracer, ledger)
 
     def _execute(
         self,
@@ -468,118 +614,95 @@ class CommRuntime:
         plan: Optional[FaultPlan],
         src: Optional[int],
         dst: Optional[int],
+        ledger: _Ledger,
+        record: bool,
     ) -> MeasuredTransfer:
+        """Run one transfer, writing every charge to ``ledger`` in order.
+
+        The result's ``ns``, ``phase_ns`` and ``resource_busy_ns`` come
+        from the ledger's rows; ``record`` asks the pipelines for their
+        chunk occupancy, which only the trace needs.
+        """
         requested = style
         caps = self.machine.capabilities
         deposit_ok = plan.deposit_available(dst) if plan is not None else True
-        fallen_back: Optional[Tuple[str, str]] = None  # (fault, fallback)
-        if style is OperationStyle.BUFFER_PACKING:
-            phases = self._packing_phases(
-                x, y, nbytes, congestion, deposit_ok=deposit_ok
+        # The path a deposit-engine fault forced, if any.
+        fallback: Optional[str] = None
+        try:
+            phases = self.phases(
+                x, y, nbytes, style, congestion, deposit_ok, duplex
             )
-            if not deposit_ok and caps.deposit is not DepositSupport.NONE:
-                fallen_back = ("deposit-engine-unavailable", "receive-store")
-        else:
-            try:
-                phases = self._chained_phases(
-                    x, y, nbytes, congestion, deposit_ok=deposit_ok
-                )
-                if not deposit_ok and self._chained_uses_deposit(y):
-                    fallen_back = (
-                        "deposit-engine-unavailable",
-                        "coprocessor-receive",
-                    )
-            except CompositionError:
-                if (
-                    deposit_ok
-                    or not caps.chained_receiver_available
-                ):
-                    raise
-                # Graceful degradation, the centrepiece: the fault took
-                # the only background receiver, so re-plan the transfer
-                # as buffer-packing instead of crashing.
-                style = OperationStyle.BUFFER_PACKING
-                phases = self._packing_phases(
-                    x, y, nbytes, congestion, deposit_ok=deposit_ok
-                )
-                fallen_back = ("deposit-engine-unavailable", "buffer-packing")
-
-        if duplex:
-            phases = [self._derate_for_duplex(phase) for phase in phases]
+        except CompositionError:
+            if (
+                style is OperationStyle.BUFFER_PACKING
+                or deposit_ok
+                or not caps.chained_receiver_available
+            ):
+                raise
+            # Graceful degradation, the centrepiece: the fault took
+            # the only background receiver, so re-plan the transfer
+            # as buffer-packing instead of crashing.
+            style = OperationStyle.BUFFER_PACKING
+            phases = self.phases(
+                x, y, nbytes, style, congestion, deposit_ok, duplex
+            )
+            fallback = "buffer-packing"
+        if fallback is None and not deposit_ok:
+            # Same style, but the fault moved the receive off the
+            # deposit engine the nominal plan would have used.
+            packing = style is OperationStyle.BUFFER_PACKING
+            if (
+                caps.deposit is not DepositSupport.NONE
+                if packing
+                else self._chained_uses_deposit(y)
+            ):
+                fallback = "receive-store" if packing else "coprocessor-receive"
 
         if plan is not None:
-            phases = self._apply_fault_derates(phases, plan, src, dst)
+            phases = self._apply_fault_derates(phases, plan, src, dst, ledger)
 
-        tracer = current_tracer()
-        total_ns = 0.0
-        phase_times: List[Tuple[str, float]] = []
-        resource_busy: dict = {}
         for phase in phases:
-            pipeline = StagePipeline(list(phase.stages))
-            if tracer is not None:
-                # Chunk spans inside the pipeline are clocked from the
-                # phase start; shift them onto the transfer timeline.
-                with tracer.shifted(total_ns):
-                    result = pipeline.run(
-                        nbytes,
-                        chunk_bytes=phase.chunk_bytes,
-                        trace_phase=phase.name,
-                    )
-            else:
-                result = pipeline.run(nbytes, chunk_bytes=phase.chunk_bytes)
-            if tracer is not None:
-                tracer.span(
-                    phase.name,
-                    track="phase",
-                    start_ns=total_ns,
-                    duration_ns=result.ns,
-                    category="phase",
-                    chunk_bytes=phase.chunk_bytes,
-                    stages=[stage.name for stage in phase.stages],
-                )
-            total_ns += result.ns
-            phase_times.append((phase.name, result.ns))
-            for label, stage in zip(pipeline.labels, pipeline.stages):
-                busy = result.stage_busy_ns[label]
-                resource_busy[stage.resource] = (
-                    resource_busy.get(stage.resource, 0.0) + busy
-                )
+            pipeline = StagePipeline(phase.stages)
+            result = pipeline.run(nbytes, phase.chunk_bytes, record)
+            names = [stage.name for stage in phase.stages]
+            resources = [stage.resource for stage in phase.stages]
+            ledger.phase(
+                phase.name,
+                result.ns,
+                {"chunk_bytes": phase.chunk_bytes, "stages": names},
+                tuple(zip(resources, result.stage_busy_ns.values())),
+                result.chunks,
+            )
 
-        fragments = -(-nbytes // self.library.fragment_bytes)
-        library_ns = (
-            self.library.per_message_ns + fragments * self.library.per_fragment_ns
-        )
-        if tracer is not None and library_ns > 0.0:
-            tracer.span(
-                "library-overhead",
-                track="phase",
-                start_ns=total_ns,
-                duration_ns=library_ns,
-                category="phase",
-                library=self.library.name,
-                per_message_ns=self.library.per_message_ns,
-                fragments=fragments,
-            )
-            tracer.span(
-                "library-overhead",
-                track="sender_cpu",
-                start_ns=total_ns,
-                duration_ns=library_ns,
-                category="stage",
-                library=self.library.name,
-            )
-        total_ns += library_ns
+        library = self.library
+        fragments = library.fragments(nbytes)
+        library_ns = library.overhead_ns(nbytes)
+        library_start = ledger.clock
         # Protocol costs keep the sender's processor busy.
-        resource_busy["sender_cpu"] = (
-            resource_busy.get("sender_cpu", 0.0) + library_ns
+        ledger.phase(
+            "library-overhead",
+            library_ns,
+            {
+                "library": library.name,
+                "per_message_ns": library.per_message_ns,
+                "fragments": fragments,
+            },
+            (("sender_cpu", library_ns),),
+        )
+        ledger.span(
+            "library-overhead",
+            "sender_cpu",
+            library_start,
+            library_ns,
+            {"library": library.name},
         )
 
         retries = 0
         if plan is not None and plan.has_wire_faults():
+            executed = ledger.phase_ns()
             hardware_ns = sum(
-                ns for name, ns in phase_times
-                if name in ("transfer", "chained")
-            ) or sum(ns for __, ns in phase_times)
+                ns for name, ns in executed if name in ("transfer", "chained")
+            ) or sum(ns for __, ns in executed)
             try:
                 recovery = recovery_charge(
                     plan,
@@ -593,46 +716,34 @@ class CommRuntime:
                 # consumers (the load engine's circuit breakers) can
                 # attribute it without parsing the message.
                 exc.src, exc.dst = src, dst
-                if tracer is not None:
-                    tracer.count("faults.aborts")
+                ledger.count("faults.aborts")
                 raise
             if recovery:
                 retries = recovery.retries
-                for name, ns in (
-                    ("retry", recovery.retry_ns),
-                    ("backoff", recovery.backoff_ns),
-                ):
-                    if ns <= 0.0:
-                        continue
-                    if tracer is not None:
-                        tracer.span(
-                            name,
-                            track="phase",
-                            start_ns=total_ns,
-                            duration_ns=ns,
-                            category="phase",
-                            retries=recovery.retries,
-                            losses=recovery.losses,
-                            corruptions=recovery.corruptions,
-                        )
-                    phase_times.append((name, ns))
-                    total_ns += ns
+                outcome = {
+                    "retries": recovery.retries,
+                    "losses": recovery.losses,
+                    "corruptions": recovery.corruptions,
+                }
                 # Retransmissions re-occupy the sender; backoff is idle.
-                resource_busy["sender_cpu"] = (
-                    resource_busy.get("sender_cpu", 0.0) + recovery.retry_ns
+                if recovery.retry_ns > 0.0:
+                    ledger.phase(
+                        "retry",
+                        recovery.retry_ns,
+                        outcome,
+                        (("sender_cpu", recovery.retry_ns),),
+                    )
+                if recovery.backoff_ns > 0.0:
+                    ledger.phase("backoff", recovery.backoff_ns, outcome)
+                ledger.count("faults.retries", recovery.retries)
+                ledger.count("faults.fragment_losses", recovery.losses)
+                ledger.count(
+                    "faults.fragment_corruptions", recovery.corruptions
                 )
-                if tracer is not None:
-                    tracer.count("faults.retries", recovery.retries)
-                    tracer.count("faults.fragment_losses", recovery.losses)
-                    tracer.count(
-                        "faults.fragment_corruptions", recovery.corruptions
-                    )
-                    tracer.observe(
-                        "faults.recovery_ns", recovery.total_ns
-                    )
+                ledger.observe("faults.recovery_ns", recovery.total_ns)
 
-        raw_ns = total_ns
-        mbps = nbytes / total_ns * 1000.0
+        raw_ns = ledger.clock
+        mbps = nbytes / raw_ns * 1000.0
         mbps *= self.machine.quirks.runtime_efficiency
 
         capped = False
@@ -646,64 +757,59 @@ class CommRuntime:
                 capped = True
         total_ns = nbytes / mbps * 1000.0
 
-        if tracer is not None:
-            tracer.count("runtime.transfers")
-            tracer.count("runtime.fragments", fragments)
-            if capped:
-                tracer.count("runtime.duplex_caps")
-            # The residual the model deliberately leaves unexplained
-            # (runtime_efficiency derate, duplex memory cap): traced as
-            # its own phase so the phase spans always sum to the
-            # reported end-to-end ns.
-            residual = total_ns - raw_ns
-            if residual > 0.0:
-                tracer.span(
-                    "duplex-memory-cap" if capped else "efficiency-derate",
-                    track="phase",
-                    start_ns=raw_ns,
-                    duration_ns=residual,
-                    category="phase",
-                    efficiency=self.machine.quirks.runtime_efficiency,
-                    memory_capped=capped,
-                )
+        ledger.count("runtime.transfers")
+        ledger.count("runtime.fragments", fragments)
+        if capped:
+            ledger.count("runtime.duplex_caps")
+        # The residual the model deliberately leaves unexplained
+        # (runtime_efficiency derate, duplex memory cap): its own phase
+        # row, so the phase spans always sum to the reported ns.
+        ledger.span(
+            "duplex-memory-cap" if capped else "efficiency-derate",
+            "phase",
+            raw_ns,
+            total_ns - raw_ns,
+            {
+                "efficiency": self.machine.quirks.runtime_efficiency,
+                "memory_capped": capped,
+            },
+        )
 
         degraded: Optional[DegradedResult] = None
-        if fallen_back is not None:
-            fault_name, fallback_name = fallen_back
-            nominal = self._nominal_mbps(
-                x, y, nbytes, requested, congestion, duplex
-            )
+        if fallback is not None:
             degraded = DegradedResult(
-                fault=fault_name,
+                fault=_DEPOSIT_FAULT,
                 requested=requested.value,
-                fallback=fallback_name,
-                nominal_mbps=nominal,
+                fallback=fallback,
+                nominal_mbps=self._nominal_mbps(
+                    x, y, nbytes, requested, congestion, duplex
+                ),
                 degraded_mbps=mbps,
             )
-            if tracer is not None:
-                tracer.count("faults.degraded")
-                tracer.span(
-                    f"degraded:{fallback_name}",
-                    track="faults",
-                    start_ns=0.0,
-                    duration_ns=total_ns,
-                    category="fault",
-                    fault=fault_name,
-                    requested=requested.value,
-                    fallback=fallback_name,
-                )
-        if tracer is not None and plan is not None:
-            tracer.count("faults.transfers_under_plan")
+            ledger.count("faults.degraded")
+            ledger.span(
+                f"degraded:{fallback}",
+                "faults",
+                0.0,
+                total_ns,
+                {
+                    "fault": _DEPOSIT_FAULT,
+                    "requested": requested.value,
+                    "fallback": fallback,
+                },
+            )
+        if plan is not None:
+            ledger.count("faults.transfers_under_plan")
 
         return MeasuredTransfer(
             mbps=mbps,
             ns=total_ns,
             nbytes=nbytes,
             style=style,
-            library=self.library.name,
+            library=library.name,
             congestion=congestion,
-            phase_ns=tuple(phase_times),
-            resource_busy_ns=tuple(sorted(resource_busy.items())),
+            phase_ns=ledger.phase_ns(),
+            resource_busy_ns=ledger.resource_busy_ns(),
             memory_capped=capped,
             diagnostics=self._analyze(x, y, style, duplex) if analyze else (),
             degraded=degraded,
@@ -721,19 +827,16 @@ class CommRuntime:
     ) -> float:
         """Fault-free throughput of the requested path, for the record.
 
-        Runs under a throwaway tracer so the comparison never pollutes
-        the active trace's phase accounting.
+        Its ledger is thrown away, so the comparison never reaches the
+        active trace.
         """
-        from ..trace.tracer import Tracer, tracing
-
-        with tracing(Tracer()):
-            try:
-                nominal = self._execute(
-                    x, y, nbytes, style, congestion, duplex,
-                    False, None, None, None,
-                )
-            except CompositionError:
-                return 0.0
+        try:
+            nominal = self._execute(
+                x, y, nbytes, style, congestion, duplex,
+                False, None, None, None, _Ledger(), False,
+            )
+        except CompositionError:
+            return 0.0
         return nominal.mbps
 
     def _apply_fault_derates(
@@ -742,6 +845,7 @@ class CommRuntime:
         plan: FaultPlan,
         src: Optional[int],
         dst: Optional[int],
+        ledger: _Ledger,
     ) -> List[_Phase]:
         """Scale stage rates by the plan's node and link faults.
 
@@ -754,41 +858,19 @@ class CommRuntime:
         sender_scale = plan.node_slowdown(src)
         receiver_scale = plan.node_slowdown(dst)
         network_derate = self._route_derate(plan, src, dst)
-        if (
-            sender_scale == 1.0
-            and receiver_scale == 1.0
-            and network_derate == 1.0
-        ):
-            return phases
-        tracer = current_tracer()
-        if tracer is not None:
-            if sender_scale != 1.0 or receiver_scale != 1.0:
-                tracer.count("faults.node_slowdowns")
-            if network_derate != 1.0:
-                tracer.count("faults.link_derates")
-
-        def scale(stage: Stage) -> Stage:
-            if stage.resource == "network":
-                factor = network_derate
-            elif stage.resource.startswith("sender"):
-                factor = 1.0 / sender_scale
-            else:
-                factor = 1.0 / receiver_scale
-            if factor == 1.0:
-                return stage
-            return Stage(
-                stage.name,
-                stage.rate_mbps * factor,
-                stage.resource,
-                stage.chunk_overhead_ns,
-                stage.startup_ns,
-            )
-
-        return [
-            _Phase(phase.name, tuple(scale(s) for s in phase.stages),
-                   phase.chunk_bytes)
-            for phase in phases
-        ]
+        if sender_scale != 1.0 or receiver_scale != 1.0:
+            ledger.count("faults.node_slowdowns")
+        if network_derate != 1.0:
+            ledger.count("faults.link_derates")
+        sender, receiver = 1.0 / sender_scale, 1.0 / receiver_scale
+        return _rescaled(
+            phases,
+            lambda s: s.rate_mbps * (
+                network_derate if s.resource == "network"
+                else sender if s.resource.startswith("sender")
+                else receiver
+            ),
+        )
 
     def _route_derate(
         self, plan: FaultPlan, src: Optional[int], dst: Optional[int]
@@ -835,22 +917,6 @@ class CommRuntime:
                 constraints=constraints,
             )
         )
-
-    def _derate_for_duplex(self, phase: _Phase) -> _Phase:
-        scale = self.machine.quirks.bus_interleave_scale
-        if scale == 1.0:
-            return phase
-        stages = tuple(
-            Stage(
-                s.name,
-                s.rate_mbps / scale if s.resource != "network" else s.rate_mbps,
-                s.resource,
-                s.chunk_overhead_ns,
-                s.startup_ns,
-            )
-            for s in phase.stages
-        )
-        return _Phase(phase.name, stages, phase.chunk_bytes)
 
     def sweep_message_sizes(
         self,

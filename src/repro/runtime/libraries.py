@@ -54,6 +54,14 @@ class LibraryProfile:
     pack_even_contiguous: bool = True
     supports_chained: bool = False
 
+    def fragments(self, nbytes: int) -> int:
+        """Protocol fragments a message of ``nbytes`` is carved into."""
+        return -(-nbytes // self.fragment_bytes)
+
+    def overhead_ns(self, nbytes: int) -> float:
+        """Software cost of one message: per-message plus per-fragment."""
+        return self.per_message_ns + self.fragments(nbytes) * self.per_fragment_ns
+
 
 def pvm_profile() -> LibraryProfile:
     """The vendor-tuned PVM used for Figure 1's upper curves.

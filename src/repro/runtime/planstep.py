@@ -102,19 +102,12 @@ class PlanStep:
     def _steady_ns(self, sample: MeasuredTransfer, nbytes: int) -> float:
         """Steady-state cost of one message of ``nbytes``.
 
-        Scales the sampled bucket's bottleneck-resource busy time to
-        the actual size (costs are near-linear within a 2x bucket) and
-        merges the send/receive processor loads as in
-        :class:`CommunicationStep`.
+        Scales the sampled bucket's bottleneck-resource busy time
+        (:meth:`MeasuredTransfer.bottleneck_busy_ns`, as in
+        :class:`CommunicationStep`) to the actual size: costs are
+        near-linear within a 2x bucket.
         """
-        busy = dict(sample.resource_busy_ns)
-        cpu = busy.pop("sender_cpu", 0.0) + busy.pop("receiver_cpu", 0.0)
-        # Same precedence trap as CommunicationStep._steady_state_ns:
-        # the ``or``-fallback must apply to the max, not the list tail.
-        bottleneck = max([cpu, *busy.values()])
-        if bottleneck <= 0.0:
-            bottleneck = sample.ns
-        scaled = bottleneck * (nbytes / sample.nbytes)
+        scaled = sample.bottleneck_busy_ns() * (nbytes / sample.nbytes)
         efficiency = self.runtime.machine.quirks.runtime_efficiency
         return scaled / efficiency + self.sync_per_message_ns
 

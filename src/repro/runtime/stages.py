@@ -22,9 +22,7 @@ the measured-vs-model gap the paper reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
-
-from ..trace.tracer import Tracer, current_tracer
+from typing import Any, Dict, List, Sequence, Tuple
 
 __all__ = ["Stage", "PipelineResult", "StagePipeline"]
 
@@ -62,11 +60,18 @@ class PipelineResult:
     unique within the pipeline, else ``"name#index"`` so two stages
     that happen to share a name keep separate busy accounts (see
     :attr:`StagePipeline.labels`).
+
+    ``chunks`` is the recorded occupancy of a ``run(..., record=True)``
+    and empty otherwise: one ``(label, resource, start_ns, ns, args)``
+    row per (chunk, stage) in execution order, clocked from the
+    pipeline's start, whose ``args`` carry the ``chunk`` index, its
+    ``bytes`` and the ``wait_ns`` it queued for a busy resource.
     """
 
     ns: float
     nbytes: int
     stage_busy_ns: Dict[str, float]
+    chunks: Tuple[Tuple[str, str, float, float, Dict[str, Any]], ...] = ()
 
     @property
     def mbps(self) -> float:
@@ -106,15 +111,13 @@ class StagePipeline:
         ]
 
     def run(
-        self, nbytes: int, chunk_bytes: int = 8192, trace_phase: str = ""
+        self, nbytes: int, chunk_bytes: int = 8192, record: bool = False
     ) -> PipelineResult:
         """Push ``nbytes`` through the pipeline in ``chunk_bytes`` chunks.
 
-        When a tracer is installed (:func:`repro.trace.tracing`), every
-        (chunk, stage) occupancy becomes a span on the stage's resource
-        track — prefixed with ``trace_phase`` if given — and each
-        chunk's wait for a busy resource lands in the
-        ``pipeline.resource_wait_ns`` histogram.
+        With ``record`` every (chunk, stage) occupancy also comes back
+        as a row on :attr:`PipelineResult.chunks` (the runtime turns
+        those rows into stage spans when a tracer is installed).
         """
         if nbytes <= 0:
             raise ValueError(f"need a positive transfer size, got {nbytes}")
@@ -125,24 +128,23 @@ class StagePipeline:
         sizes = [chunk_bytes] * full_chunks + ([tail] if tail else [])
 
         busy: List[float] = [0.0] * len(self.stages)
-        # The tracer check is hoisted out of the (chunk x stage) loop:
-        # with tracing off, the hot path pays a single attribute test
-        # here and then runs a tight loop with no per-chunk branching.
-        # Both loops perform identical arithmetic, so results match
-        # bit for bit traced vs untraced.
-        tracer = current_tracer()
-        if tracer is None:
-            finish = self._run_untraced(sizes, busy)
+        # Two loops, one arithmetic: the hot path carries no per-chunk
+        # recording branch, and both loops advance the clocks with the
+        # same operations, so results match bit for bit either way.
+        chunks: List[Tuple[str, str, float, float, Dict[str, Any]]] = []
+        if record:
+            finish = self._run_recorded(sizes, busy, chunks)
         else:
-            finish = self._run_traced(sizes, busy, tracer, trace_phase)
+            finish = self._run(sizes, busy)
 
         return PipelineResult(
             ns=finish,
             nbytes=nbytes,
             stage_busy_ns=dict(zip(self.labels, busy)),
+            chunks=tuple(chunks),
         )
 
-    def _run_untraced(self, sizes: Sequence[int], busy: List[float]) -> float:
+    def _run(self, sizes: Sequence[int], busy: List[float]) -> float:
         resource_free: Dict[str, float] = {}
         started: List[bool] = [False] * len(self.stages)
         finish = 0.0
@@ -162,17 +164,12 @@ class StagePipeline:
             finish = chunk_ready
         return finish
 
-    def _run_traced(
+    def _run_recorded(
         self,
         sizes: Sequence[int],
         busy: List[float],
-        tracer: Tracer,
-        trace_phase: str,
+        chunks: List[Tuple[str, str, float, float, Dict[str, Any]]],
     ) -> float:
-        span_names = [
-            f"{trace_phase}:{label}" if trace_phase else label
-            for label in self.labels
-        ]
         resource_free: Dict[str, float] = {}
         started: List[bool] = [False] * len(self.stages)
         finish = 0.0
@@ -184,19 +181,19 @@ class StagePipeline:
                 if not started[position]:
                     duration += stage.startup_ns
                     started[position] = True
-                wait_ns = start - chunk_ready
-                tracer.span(
-                    span_names[position],
-                    track=stage.resource,
-                    start_ns=start,
-                    duration_ns=duration,
-                    category="stage",
-                    chunk=chunk_index,
-                    bytes=size,
-                    wait_ns=wait_ns,
+                chunks.append(
+                    (
+                        self.labels[position],
+                        stage.resource,
+                        start,
+                        duration,
+                        {
+                            "chunk": chunk_index,
+                            "bytes": size,
+                            "wait_ns": start - chunk_ready,
+                        },
+                    )
                 )
-                if wait_ns > 0.0:
-                    tracer.observe("pipeline.resource_wait_ns", wait_ns)
                 chunk_ready = start + duration
                 resource_free[stage.resource] = chunk_ready
                 busy[position] += duration

@@ -196,9 +196,9 @@ def _prepare_lane(
         duplex = not machine.quirks.measures_simplex
     else:
         duplex = cell.duplex == "on"
-    phases = runtime.phases(x, y, cell.size, style, congestion=congestion)
-    if duplex:
-        phases = [runtime._derate_for_duplex(phase) for phase in phases]
+    phases = runtime.phases(
+        x, y, cell.size, style, congestion=congestion, duplex=duplex
+    )
     return _Lane(index, cell, runtime, phases, style, duplex, estimate)
 
 
@@ -243,11 +243,7 @@ def _solve_group(nbytes: int, lanes: List[_Lane]) -> List[Dict[str, Any]]:
     efficiency = np.empty(n, dtype=np.float64)
     cap = np.full(n, np.inf, dtype=np.float64)
     for lane_index, lane in enumerate(lanes):
-        library = lane.runtime.library
-        fragments = -(-nbytes // library.fragment_bytes)
-        library_ns[lane_index] = (
-            library.per_message_ns + fragments * library.per_fragment_ns
-        )
+        library_ns[lane_index] = lane.runtime.library.overhead_ns(nbytes)
         efficiency[lane_index] = (
             lane.runtime.machine.quirks.runtime_efficiency
         )

@@ -10,10 +10,10 @@ Design constraints, in priority order:
 2. **No behavioural coupling.**  A tracer observes the simulation's
    clocks; it never feeds anything back, so traced and untraced runs
    produce bit-identical results (``tests/trace/test_parity.py``).
-3. **Simulated time.**  Span timestamps are model nanoseconds.  Code
-   that runs inside a nested clock domain (a stage pipeline whose
-   chunk times start at 0 within its phase) offsets its spans by the
-   tracer's ``offset_ns``, which the enclosing layer sets.
+3. **Simulated time.**  Span timestamps are model nanoseconds on the
+   emitter's clock.  A layer that composes nested clock domains (the
+   runtime lays each pipeline's chunk rows end to end) places them
+   itself before emitting.
 """
 
 from __future__ import annotations
@@ -85,14 +85,10 @@ class Tracer:
     Attributes:
         metrics: A :class:`~repro.trace.metrics.MetricsRegistry`
             accumulating counters/histograms alongside the event list.
-        offset_ns: Time base added to spans emitted by nested clock
-            domains; managed by the enclosing layer (see
-            :meth:`shifted`).
     """
 
     def __init__(self) -> None:
         self.metrics = MetricsRegistry()
-        self.offset_ns = 0.0
         self._spans: List[SpanEvent] = []
         self._counters: List[CounterSample] = []
 
@@ -107,12 +103,12 @@ class Tracer:
         category: str = "span",
         **args: Any,
     ) -> None:
-        """Record one interval; ``start_ns`` is relative to ``offset_ns``."""
+        """Record one interval of simulated time."""
         self._spans.append(
             SpanEvent(
                 name=name,
                 track=track,
-                start_ns=self.offset_ns + start_ns,
+                start_ns=start_ns,
                 duration_ns=duration_ns,
                 category=category,
                 args=args,
@@ -122,21 +118,11 @@ class Tracer:
     def count(self, name: str, value: float = 1.0, at_ns: float = 0.0) -> None:
         """Increment counter ``name`` and keep the sample point."""
         self.metrics.inc(name, value)
-        self._counters.append(CounterSample(name, value, self.offset_ns + at_ns))
+        self._counters.append(CounterSample(name, value, at_ns))
 
     def observe(self, name: str, value: float) -> None:
         """Record one histogram observation (distribution metric)."""
         self.metrics.observe(name, value)
-
-    @contextmanager
-    def shifted(self, offset_ns: float) -> Iterator["Tracer"]:
-        """Temporarily move the time base for a nested clock domain."""
-        previous = self.offset_ns
-        self.offset_ns = previous + offset_ns
-        try:
-            yield self
-        finally:
-            self.offset_ns = previous
 
     # -- views --------------------------------------------------------------
 

@@ -108,9 +108,14 @@ class TestFanIn:
 class TestSteadyStateFallback:
     """Regression: ``max([cpu] + list(busy) or [ns])`` parenthesized as
     ``(cpu + busy) or ns``, leaving the fallback dead and letting an
-    all-zero busy profile report a 0 ns per-message bottleneck."""
+    all-zero busy profile report a 0 ns per-message bottleneck.
 
-    def _sample(self, runtime, busy):
+    The merge, max and fallback live in one place,
+    :meth:`MeasuredTransfer.bottleneck_busy_ns`, which both
+    :class:`CommunicationStep` and :class:`PlanStep` price with.
+    """
+
+    def _sample(self, busy):
         from repro.runtime.engine import MeasuredTransfer
 
         return MeasuredTransfer(
@@ -125,26 +130,42 @@ class TestSteadyStateFallback:
         )
 
     def test_zero_busy_falls_back_to_end_to_end(self, runtime):
-        probe = step(runtime, all_to_all(4))
-        sample = self._sample(runtime, busy=(("network", 0.0),))
-        steady = probe._steady_state_ns(sample)
-        efficiency = runtime.machine.quirks.runtime_efficiency
-        assert steady == pytest.approx(
-            sample.ns / efficiency + probe.sync_per_message_ns
-        )
+        sample = self._sample(busy=(("network", 0.0),))
+        assert sample.bottleneck_busy_ns() == sample.ns
 
     def test_empty_busy_falls_back_too(self, runtime):
-        probe = step(runtime, all_to_all(4))
-        sample = self._sample(runtime, busy=())
-        assert probe._steady_state_ns(sample) > probe.sync_per_message_ns
+        sample = self._sample(busy=())
+        assert sample.bottleneck_busy_ns() == sample.ns
 
     def test_nonzero_busy_still_used(self, runtime):
-        probe = step(runtime, all_to_all(4))
         sample = self._sample(
-            runtime,
             busy=(("network", 30_000.0), ("sender_cpu", 10_000.0)),
         )
+        assert sample.bottleneck_busy_ns() == 30_000.0
+
+    def test_send_and_receive_processor_loads_add_up(self):
+        sample = self._sample(
+            busy=(
+                ("network", 30_000.0),
+                ("receiver_cpu", 15_000.0),
+                ("sender_cpu", 20_000.0),
+            ),
+        )
+        assert sample.bottleneck_busy_ns() == 35_000.0
+
+    def test_steady_state_prices_with_the_sample_bottleneck(
+        self, runtime, monkeypatch
+    ):
+        from repro.runtime.engine import MeasuredTransfer
+
+        probe = step(runtime, all_to_all(4))
+        nominal = probe.run()
+        monkeypatch.setattr(
+            MeasuredTransfer, "bottleneck_busy_ns", lambda self: 1e6
+        )
+        priced = probe.run()
         efficiency = runtime.machine.quirks.runtime_efficiency
-        assert probe._steady_state_ns(sample) == pytest.approx(
-            30_000.0 / efficiency + probe.sync_per_message_ns
+        steady = 1e6 / efficiency + probe.sync_per_message_ns
+        assert priced.step_ns == pytest.approx(
+            nominal.sample.ns + probe.sync_per_message_ns + 2 * steady
         )

@@ -8,8 +8,9 @@ where repeated interleaved rounds can average the noise out:
   must behave nominally) a transfer performs zero per-phase fault
   bookkeeping: no derate pass, no recovery charge, no per-flow
   slowdown lookups.
-* **Trace off** — with no tracer installed the per-chunk pipeline loop
-  never consults one; with a tracer the results are bit-identical.
+* **Trace off** — with no tracer installed a transfer never runs the
+  pipeline's recording loop; with a tracer the results are
+  bit-identical.
 """
 
 import time
@@ -97,26 +98,16 @@ class TestFaultsOffFastExit:
 
 
 class TestTraceOffFastExit:
-    def test_untraced_pipeline_never_consults_a_tracer(self, monkeypatch):
-        import repro.runtime.stages as stages_module
-
-        def trap():
-            raise AssertionError(
-                "current_tracer must be read once per run, and the "
-                "traced loop must not be entered without a tracer"
-            )
-
-        pipeline = StagePipeline(
-            [Stage("send", 100.0, "cpu"), Stage("net", 50.0, "net")]
-        )
-        # The single allowed read happens inside run(); forbidding the
-        # traced loop proves the disabled path is one attribute test.
-        monkeypatch.setattr(
-            StagePipeline,
-            "_run_traced",
-            lambda *args, **kwargs: trap(),
-        )
-        pipeline.run(1 << 20, chunk_bytes=8192)
+    def test_untraced_pipeline_never_consults_a_tracer(
+        self, t3d_machine, monkeypatch
+    ):
+        # The pipeline has no tracer to consult; the runtime reads one
+        # once per transfer, and without it the recording loop (the
+        # only source of chunk rows) must never run.
+        runtime = CommRuntime(t3d_machine)
+        _forbid(monkeypatch, StagePipeline, "_run_recorded")
+        for style in ("chained", "buffer-packing"):
+            runtime.transfer(CONTIGUOUS, _Y, _BYTES, style, duplex=True)
 
     def test_traced_and_untraced_results_bit_identical(self, machine):
         runtime = CommRuntime(machine)
@@ -133,11 +124,11 @@ class TestTraceOffFastExit:
             [Stage("send", 100.0, "cpu"), Stage("net", 50.0, "net")]
         )
         bare = pipeline.run(1 << 16, chunk_bytes=8192)
-        with tracing() as tracer:
-            traced = pipeline.run(1 << 16, chunk_bytes=8192)
-        assert traced.ns == bare.ns
-        assert traced.stage_busy_ns == bare.stage_busy_ns
-        assert len(tracer.spans(category="stage")) == 16  # 8 chunks x 2
+        recorded = pipeline.run(1 << 16, chunk_bytes=8192, record=True)
+        assert recorded.ns == bare.ns
+        assert recorded.stage_busy_ns == bare.stage_busy_ns
+        assert bare.chunks == ()
+        assert len(recorded.chunks) == 16  # 8 chunks x 2
 
 
 @pytest.mark.slow

@@ -106,3 +106,19 @@ class TestPlanStep:
         assert result.per_node_mbps == pytest.approx(
             result.bytes_per_node / result.step_ns * 1000.0
         )
+
+    def test_prices_with_the_sample_bottleneck(self, runtime, monkeypatch):
+        # The same steady-state bottleneck as CommunicationStep: one
+        # MeasuredTransfer method, merged send/receive processor load.
+        from repro.runtime.engine import MeasuredTransfer
+
+        calls = []
+        original = MeasuredTransfer.bottleneck_busy_ns
+
+        def spy(sample):
+            calls.append(sample)
+            return original(sample)
+
+        monkeypatch.setattr(MeasuredTransfer, "bottleneck_busy_ns", spy)
+        PlanStep(runtime, mixed_plan()).run(OperationStyle.CHAINED)
+        assert len(calls) == len(mixed_plan().ops) + 1

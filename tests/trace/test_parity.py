@@ -5,7 +5,13 @@ once without — and the results must be bit-identical.  Tracing is an
 observer: it reads model state, it never feeds back into timing.
 """
 
+import pytest
+
+from repro.core.errors import CompositionError
+from repro.core.operations import OperationStyle
 from repro.core.patterns import CONTIGUOUS, strided
+from repro.faults import FaultPlan
+from repro.machines import MACHINE_FACTORIES, machine_by_key
 from repro.netsim.patterns import all_to_all
 from repro.runtime.collective import CommunicationStep
 from repro.runtime.engine import CommRuntime
@@ -13,13 +19,39 @@ from repro.runtime.stages import Stage, StagePipeline
 from repro.trace import current_tracer, tracing
 
 
-def test_transfer_bit_identical(t3d_machine):
-    runtime = CommRuntime(t3d_machine, rates="paper")
-    plain = runtime.transfer(CONTIGUOUS, strided(64), 131072, duplex=True)
-    with tracing():
-        traced = runtime.transfer(
-            CONTIGUOUS, strided(64), 131072, duplex=True
+@pytest.mark.parametrize("chaos", [False, True], ids=["nominal", "chaos7"])
+@pytest.mark.parametrize("duplex", [False, True], ids=["simplex", "duplex"])
+@pytest.mark.parametrize(
+    "style", list(OperationStyle), ids=[s.value for s in OperationStyle]
+)
+@pytest.mark.parametrize("key", sorted(MACHINE_FACTORIES))
+def test_transfer_bit_identical(key, style, duplex, chaos):
+    runtime = CommRuntime(
+        machine_by_key(key),
+        rates="paper",
+        faults=FaultPlan.chaos(7) if chaos else None,
+    )
+
+    def run():
+        return runtime.transfer(
+            CONTIGUOUS, strided(64), 131072, style, duplex=duplex,
+            src=0, dst=1,
         )
+
+    try:
+        plain = run()
+    except CompositionError as exc:
+        # Infeasible on this machine: a one-line refusal, traced or not,
+        # that leaves nothing in the trace.
+        assert str(exc) and "\n" not in str(exc)
+        with tracing() as tracer:
+            with pytest.raises(CompositionError) as again:
+                run()
+        assert str(again.value) == str(exc)
+        assert len(tracer) == 0
+        return
+    with tracing():
+        traced = run()
     assert traced == plain
 
 

@@ -63,23 +63,6 @@ class TestSpans:
         tracer.span("b", track="t", start_ns=0.0, duration_ns=2.0)
         assert tracer.end_ns() == 15.0
 
-    def test_shifted_offsets_nested_spans(self):
-        tracer = Tracer()
-        with tracer.shifted(100.0):
-            tracer.span("inner", track="t", start_ns=5.0, duration_ns=1.0)
-            with tracer.shifted(1000.0):
-                tracer.span("deeper", track="t", start_ns=0.0, duration_ns=1.0)
-        tracer.span("outer", track="t", start_ns=0.0, duration_ns=1.0)
-        starts = {s.name: s.start_ns for s in tracer.spans()}
-        assert starts == {"inner": 105.0, "deeper": 1100.0, "outer": 0.0}
-
-    def test_shifted_restores_on_error(self):
-        tracer = Tracer()
-        with pytest.raises(ValueError):
-            with tracer.shifted(50.0):
-                raise ValueError
-        assert tracer.offset_ns == 0.0
-
 
 class TestCounters:
     def test_count_updates_metrics_and_samples(self):
