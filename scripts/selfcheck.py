@@ -22,11 +22,14 @@ under ``src/repro/``:
 * **SC005** — schema tags live in one place: no string literal outside
   ``repro/contract.py`` may contain a ``repro-<name>/<N>`` tag (use
   the contract's constant).  Docstrings are exempt.
-* **SC006** — the runtime reads the tracer once per transfer:
-  ``current_tracer`` appears nowhere in ``runtime/stages.py`` (the
-  pipeline returns chunk rows instead), and in ``runtime/engine.py``
-  it is read only inside ``CommRuntime.transfer``, which hands the
-  transfer's ledger to the one emitter.
+* **SC006** — layers record counts in their results and one emitter
+  per layer hands them to the tracer: ``current_tracer`` appears
+  nowhere in ``runtime/stages.py`` (the pipeline returns chunk rows
+  instead) or in the memsim kernels ``memsim/engine.py`` and
+  ``memsim/fastpath.py`` (they fill ``KernelResult.counts``); it is
+  read only inside ``CommRuntime.transfer`` in ``runtime/engine.py``,
+  which hands the transfer's ledger to the one emitter, and inside
+  ``NodeMemorySystem._count`` in ``memsim/node.py``.
 
 Exit status: 0 when clean, 1 when any violation is found.
 """
@@ -55,6 +58,9 @@ TRACER_READ = "current_tracer"
 TRACER_SCOPES: Dict[Path, Optional[Tuple[str, ...]]] = {
     PACKAGE_ROOT / "runtime" / "stages.py": None,
     PACKAGE_ROOT / "runtime" / "engine.py": ("CommRuntime", "transfer"),
+    PACKAGE_ROOT / "memsim" / "engine.py": None,
+    PACKAGE_ROOT / "memsim" / "fastpath.py": None,
+    PACKAGE_ROOT / "memsim" / "node.py": ("NodeMemorySystem", "_count"),
 }
 
 
@@ -262,8 +268,9 @@ def check_tracer_reads(path: Path, tree: ast.Module) -> Iterator[str]:
                 )
                 yield (
                     f"SC006 {rel}:{getattr(child, 'lineno', node.lineno)}: "
-                    f"{TRACER_READ} referenced {where}; record ledger "
-                    "rows and let the runtime's one emitter trace them"
+                    f"{TRACER_READ} referenced {where}; record counts "
+                    "or ledger rows in the result and let the layer's "
+                    "one emitter trace them"
                 )
             yield from walk(child, inner)
 

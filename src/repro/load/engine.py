@@ -466,9 +466,6 @@ class LoadEngine:
             latency_ns = now_ns - request.arrival_ns
             latencies.record(latency_ns)
             observe(now_ns, latency_ns)
-            if tracer is not None:
-                tracer.count("load.completed")
-                tracer.observe("load.latency_ns", latency_ns)
             reissue(now_ns, request.generator, request.client, request.issue)
 
         def retry_or_drop(
@@ -513,8 +510,6 @@ class LoadEngine:
                     base_identity + (attempt + 1,), 0,
                     (generator, client, issue, template, attempt + 1),
                 ))
-                if tracer is not None:
-                    tracer.count("load.retried")
             else:
                 reissue(now_ns, generator, client, issue)
 
@@ -529,8 +524,6 @@ class LoadEngine:
             nonlocal inflight
             inflight -= 1
             gen_counts[request.generator]["evicted"] += 1
-            if tracer is not None:
-                tracer.count("load.evicted")
             retry_or_drop(
                 now_ns, request.identity, request.generator,
                 request.client, request.issue, request.template,
@@ -542,108 +535,114 @@ class LoadEngine:
             nonlocal inflight
             inflight -= 1
             gen_counts[request.generator]["shed"] += 1
-            if tracer is not None:
-                tracer.count("load.shed")
             reissue(now_ns, request.generator, request.client, request.issue)
 
-        while heap:
-            time_ns, kind, identity, leg, payload = heappop(heap)
-            events += 1
-            end_ns = time_ns
+        try:
+            while heap:
+                time_ns, kind, identity, leg, payload = heappop(heap)
+                events += 1
+                end_ns = time_ns
 
-            if kind == _ARRIVE:
-                generator, client, issue, template, attempt = payload
-                counts = gen_counts[generator]
-                if attempt:
-                    retries_pending -= 1
-                    identity = identity[:-1]
-                else:
-                    counts["offered"] += 1
-                src = self._home(generator)
-                verdict = None
-                if not admit(time_ns, nics[src].backlog(), identity):
-                    verdict = "rejected"
-                else:
-                    dst = policy.pick(
-                        src, generator, client, template.name, node_backlog,
-                    )
-                    breaker = (
-                        board.get(src, dst) if board is not None else None
-                    )
-                    if breaker is not None and not breaker.allow(time_ns):
-                        verdict = "rejected"
-                    elif (
-                        breaker is not None
-                        and derate_trip > 0.0
-                        and self.faults is not None
-                        and self.faults.link_derate(src, dst) <= derate_trip
-                    ):
-                        breaker.record_failure(time_ns)
-                        verdict = "broken"
+                if kind == _ARRIVE:
+                    generator, client, issue, template, attempt = payload
+                    counts = gen_counts[generator]
+                    if attempt:
+                        retries_pending -= 1
+                        identity = identity[:-1]
                     else:
-                        try:
-                            route = self._fill_route(template, src, dst)
-                        except TransferAbortedError:
-                            if not protected:
-                                raise
-                            verdict = "broken"
-                            if breaker is not None:
-                                breaker.record_failure(time_ns)
-                        else:
-                            if breaker is not None:
-                                breaker.record_success(time_ns)
-                if verdict is None:
-                    counts["accepted"] += 1
-                    inflight += 1
-                    request = _Request(
-                        identity, generator, client, issue, template,
-                        time_ns, attempt,
-                    )
-                    request.legs, request.transit_ns, request.wire_at = (
-                        route
-                    )
-                    advance(time_ns, request)
-                else:
-                    counts[verdict] += 1
-                    if tracer is not None:
-                        tracer.count(f"load.{verdict}")
-                    retry_or_drop(
-                        time_ns, identity, generator, client, issue,
-                        template, attempt,
-                    )
-                continue
-
-            if kind == _ENQUEUE:
-                enter_leg(time_ns, payload)
-                continue
-
-            # _DONE: free the station; if anyone waits, shed the
-            # expired waiters and serve the next live one; advance.
-            request = payload
-            (node, station_kind), __ = request.legs[request.leg]
-            station = stations[(node, station_kind)]
-            station.release()
-            node_backlog[node] -= 1
-            if station.depth():
-                expired, waiter = station.pop_live(time_ns)
-                for dead in expired:
-                    node_backlog[node] -= 1
-                    shed_request(time_ns, dead)
-                if waiter is not None:
-                    enqueued_ns, next_request = waiter
-                    wait_service = next_request.legs[next_request.leg][1]
-                    done_ns = station.start(time_ns, wait_service)
-                    heappush(heap, (
-                        done_ns, _DONE, next_request.identity,
-                        next_request.leg, next_request,
-                    ))
-                    if tracer is not None:
-                        tracer.observe(
-                            "load.queue_wait_ns", time_ns - enqueued_ns
+                        counts["offered"] += 1
+                    src = self._home(generator)
+                    verdict = None
+                    if not admit(time_ns, nics[src].backlog(), identity):
+                        verdict = "rejected"
+                    else:
+                        dst = policy.pick(
+                            src, generator, client, template.name, node_backlog,
                         )
-            request.leg += 1
-            advance(time_ns, request)
+                        breaker = (
+                            board.get(src, dst) if board is not None else None
+                        )
+                        if breaker is not None and not breaker.allow(time_ns):
+                            verdict = "rejected"
+                        elif (
+                            breaker is not None
+                            and derate_trip > 0.0
+                            and self.faults is not None
+                            and self.faults.link_derate(src, dst) <= derate_trip
+                        ):
+                            breaker.record_failure(time_ns)
+                            verdict = "broken"
+                        else:
+                            try:
+                                route = self._fill_route(template, src, dst)
+                            except TransferAbortedError:
+                                if not protected:
+                                    raise
+                                verdict = "broken"
+                                if breaker is not None:
+                                    breaker.record_failure(time_ns)
+                            else:
+                                if breaker is not None:
+                                    breaker.record_success(time_ns)
+                    if verdict is None:
+                        counts["accepted"] += 1
+                        inflight += 1
+                        request = _Request(
+                            identity, generator, client, issue, template,
+                            time_ns, attempt,
+                        )
+                        request.legs, request.transit_ns, request.wire_at = (
+                            route
+                        )
+                        advance(time_ns, request)
+                    else:
+                        counts[verdict] += 1
+                        retry_or_drop(
+                            time_ns, identity, generator, client, issue,
+                            template, attempt,
+                        )
+                    continue
 
+                if kind == _ENQUEUE:
+                    enter_leg(time_ns, payload)
+                    continue
+
+                # _DONE: free the station; if anyone waits, shed the
+                # expired waiters and serve the next live one; advance.
+                request = payload
+                (node, station_kind), __ = request.legs[request.leg]
+                station = stations[(node, station_kind)]
+                station.release()
+                node_backlog[node] -= 1
+                if station.depth():
+                    expired, waiter = station.pop_live(time_ns)
+                    for dead in expired:
+                        node_backlog[node] -= 1
+                        shed_request(time_ns, dead)
+                    if waiter is not None:
+                        enqueued_ns, next_request = waiter
+                        wait_service = next_request.legs[next_request.leg][1]
+                        done_ns = station.start(time_ns, wait_service)
+                        heappush(heap, (
+                            done_ns, _DONE, next_request.identity,
+                            next_request.leg, next_request,
+                        ))
+                        if tracer is not None:
+                            tracer.observe(
+                                "load.queue_wait_ns", time_ns - enqueued_ns
+                            )
+                request.leg += 1
+                advance(time_ns, request)
+
+        finally:
+            # The tallies the report keeps, handed over once per run.
+            if tracer is not None:
+                for key in GENERATOR_KEYS:
+                    total = sum(counts[key] for counts in gen_counts.values())
+                    if total and key not in ("offered", "accepted"):
+                        tracer.count(f"load.{key}", total)
+                for latency_ns in latencies.samples():
+                    tracer.observe("load.latency_ns", latency_ns)
         totals = {
             key: sum(counts[key] for counts in gen_counts.values())
             for key in GENERATOR_KEYS

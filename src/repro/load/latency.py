@@ -38,6 +38,10 @@ class LatencyStore:
     def __len__(self) -> int:
         return len(self._values)
 
+    def samples(self) -> List[float]:
+        """The samples in record order (until a percentile sorts them)."""
+        return list(self._values)
+
     def _ordered(self) -> List[float]:
         if not self._sorted:
             self._values.sort()

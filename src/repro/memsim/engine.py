@@ -25,10 +25,9 @@ Figure 4 cross-over *mechanistically*.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict
+from dataclasses import dataclass, field, replace
+from typing import Deque, Dict, Tuple
 
-from ..trace.tracer import current_tracer
 from .cache import Cache
 from .config import WORD_BYTES, NodeConfig
 from .dram import DRAM
@@ -56,12 +55,16 @@ class KernelResult:
         nwords: Payload words moved.
         cache_hit_rate: Data-cache hit rate over the run.
         dram_page_hit_rate: DRAM open-page hit rate over the run.
+        counts: The run's event tallies as ordered ``(counter, value)``
+            pairs, which the node harness hands to an active tracer;
+            they take no part in equality.
     """
 
     ns: float
     nwords: int
     cache_hit_rate: float = 0.0
     dram_page_hit_rate: float = 0.0
+    counts: Tuple[Tuple[str, int], ...] = field(default=(), compare=False)
 
     @property
     def mbps(self) -> float:
@@ -69,6 +72,49 @@ class KernelResult:
         if self.ns <= 0:
             return float("inf")
         return self.nwords * WORD_BYTES / self.ns * _NS_PER_S / 1e6
+
+
+_PROCESSOR_COUNTERS = (
+    "memsim.kernels", "memsim.cache_hits", "memsim.cache_misses",
+    "memsim.dirty_evictions", "memsim.page_hits", "memsim.page_misses",
+    "memsim.wb_drains",
+)
+
+
+def processor_counts(*tallies: int) -> Tuple[Tuple[str, int], ...]:
+    """Name one processor (or scalar deposit) kernel run's tallies: cache
+    hits, misses, dirty evictions, page hits, misses, write-buffer drains."""
+    return tuple(zip(_PROCESSOR_COUNTERS, (1,) + tallies))
+
+
+def cap_by_ni(node: NodeConfig, result: KernelResult) -> KernelResult:
+    """Apply the NI FIFO bandwidth cap to a send/receive kernel."""
+    fifo = node.ni.fifo_mbps
+    if fifo <= 0:
+        return result
+    floor_ns = result.nwords * WORD_BYTES / fifo * 1000.0
+    if result.ns >= floor_ns:
+        return result
+    return replace(result, ns=floor_ns)
+
+
+def readahead_active(
+    node: NodeConfig, read: AccessStream, writes_to_dram: bool
+) -> bool:
+    """Whether the read-ahead unit engages on ``read``."""
+    cfg = node.read_ahead
+    if not cfg.enabled or not read.pattern.is_contiguous:
+        return False
+    return cfg.survives_writes or not writes_to_dram
+
+
+def check_deposit_pattern(node: NodeConfig, write: AccessStream) -> None:
+    """Raise ``ValueError`` when the deposit engine cannot take ``write``."""
+    if not node.deposit.supports(write.pattern.is_contiguous):
+        raise ValueError(
+            f"deposit engine ({node.deposit.patterns}) cannot handle "
+            f"write pattern {write.pattern}"
+        )
 
 
 class MemoryEngine:
@@ -275,33 +321,23 @@ class MemoryEngine:
         while self._pipe:
             self.cpu_t = max(self.cpu_t, self._pipe.popleft())
         ns = max(self.cpu_t, self.dram_free)
-        self._emit_counters()
         return KernelResult(
             ns=ns,
             nwords=nwords,
             cache_hit_rate=self.cache.hit_rate,
             dram_page_hit_rate=self.dram.hit_rate,
+            counts=self._counts(),
         )
 
-    def _emit_counters(self) -> None:
-        """Hand this run's hit/drain/page tallies to an active tracer."""
-        tracer = current_tracer()
-        if tracer is None:
-            return
-        metrics = tracer.metrics
-        metrics.inc("memsim.kernels")
-        metrics.inc("memsim.cache_hits", self.cache.hits)
-        metrics.inc("memsim.cache_misses", self.cache.misses)
-        metrics.inc("memsim.dirty_evictions", self.cache.dirty_evictions)
-        metrics.inc("memsim.page_hits", self.dram.page_hits)
-        metrics.inc("memsim.page_misses", self.dram.page_misses)
-        metrics.inc("memsim.wb_drains", self.drains)
-
-    def _readahead_active(self, stream: AccessStream, writes_to_dram: bool) -> bool:
-        cfg = self.node.read_ahead
-        if not cfg.enabled or not stream.pattern.is_contiguous:
-            return False
-        return cfg.survives_writes or not writes_to_dram
+    def _counts(self) -> Tuple[Tuple[str, int], ...]:
+        return processor_counts(
+            self.cache.hits,
+            self.cache.misses,
+            self.cache.dirty_evictions,
+            self.dram.page_hits,
+            self.dram.page_misses,
+            self.drains,
+        )
 
     def _index_load(self, address: int) -> None:
         """A 4-byte index-array load (contiguous, usually cache hits)."""
@@ -322,7 +358,7 @@ class MemoryEngine:
         self._reset()
         cfg = self.node.processor
         overhead = cfg.loop_overhead_cycles * cfg.cycle_ns
-        readahead = self._readahead_active(read, writes_to_dram=False)
+        readahead = readahead_active(self.node, read, writes_to_dram=False)
         read_index = read.index_addresses
         for i in range(read.nwords):
             if read_index is not None:
@@ -362,7 +398,7 @@ class MemoryEngine:
         self._reset()
         cfg = self.node.processor
         overhead = cfg.loop_overhead_cycles * cfg.cycle_ns
-        readahead = self._readahead_active(read, writes_to_dram=True)
+        readahead = readahead_active(self.node, read, writes_to_dram=True)
         read_index = read.index_addresses
         write_index = write.index_addresses
         for i in range(read.nwords):
@@ -385,15 +421,14 @@ class MemoryEngine:
         self._reset()
         cfg = self.node
         overhead = cfg.processor.loop_overhead_cycles * cfg.processor.cycle_ns
-        readahead = self._readahead_active(read, writes_to_dram=False)
+        readahead = readahead_active(self.node, read, writes_to_dram=False)
         read_index = read.index_addresses
         for i in range(read.nwords):
             if read_index is not None:
                 self._index_load(int(read_index[i]))
             self._load(int(read.addresses[i]), readahead)
             self.cpu_t += cfg.ni.store_ns + overhead
-        result = self._finish(read.nwords)
-        return self._cap_by_ni(result)
+        return cap_by_ni(cfg, self._finish(read.nwords))
 
     def run_receive_store(self, write: AccessStream) -> KernelResult:
         """A receive-store ``0Ry``: NI-port loads plus pattern stores."""
@@ -407,18 +442,13 @@ class MemoryEngine:
                 self._index_load(int(write_index[i]))
             self._store(int(write.addresses[i]))
             self.cpu_t += overhead
-        result = self._finish(write.nwords)
-        return self._cap_by_ni(result)
+        return cap_by_ni(cfg, self._finish(write.nwords))
 
     def run_deposit(self, write: AccessStream) -> KernelResult:
         """A receive-deposit ``0Dy``: the deposit engine stores incoming
         words (or address-data pairs) without processor involvement."""
         cfg = self.node
-        if not cfg.deposit.supports(write.pattern.is_contiguous):
-            raise ValueError(
-                f"deposit engine ({cfg.deposit.patterns}) cannot handle "
-                f"write pattern {write.pattern}"
-            )
+        check_deposit_pattern(cfg, write)
         self._reset()
         engine_t = 0.0
         merge = write.pattern.is_contiguous
@@ -444,13 +474,13 @@ class MemoryEngine:
             start = max(engine_t, self.dram_free)
             occ = self.dram.write_burst(pending_address, pending_words)
             self.dram_free = start + self._occ(occ)
-        self._emit_counters()
         result = KernelResult(
             ns=max(engine_t, self.dram_free),
             nwords=write.nwords,
             dram_page_hit_rate=self.dram.hit_rate,
+            counts=self._counts(),
         )
-        return self._cap_by_ni(result)
+        return cap_by_ni(cfg, result)
 
     def run_fetch_send(self, nwords: int) -> KernelResult:
         """A fetch-send ``1F0``: the DMA streams a contiguous block.
@@ -475,23 +505,5 @@ class MemoryEngine:
             + nwords * cfg.dma.word_ns
             + pages_crossed * cfg.dma.page_kick_ns
         )
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.metrics.inc("memsim.kernels")
-            tracer.metrics.inc("memsim.dma_page_kicks", pages_crossed)
-        return self._cap_by_ni(KernelResult(ns=ns, nwords=nwords))
-
-    def _cap_by_ni(self, result: KernelResult) -> KernelResult:
-        """Apply the NI FIFO bandwidth cap to a send/receive kernel."""
-        fifo = self.node.ni.fifo_mbps
-        if fifo <= 0:
-            return result
-        floor_ns = result.nwords * WORD_BYTES / fifo * 1000.0
-        if result.ns >= floor_ns:
-            return result
-        return KernelResult(
-            ns=floor_ns,
-            nwords=result.nwords,
-            cache_hit_rate=result.cache_hit_rate,
-            dram_page_hit_rate=result.dram_page_hit_rate,
-        )
+        counts = (("memsim.kernels", 1), ("memsim.dma_page_kicks", pages_crossed))
+        return cap_by_ni(cfg, KernelResult(ns=ns, nwords=nwords, counts=counts))

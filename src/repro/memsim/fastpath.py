@@ -59,9 +59,15 @@ from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
-from ..trace.tracer import current_tracer
-from .config import WORD_BYTES, CacheConfig, NodeConfig
-from .engine import KernelResult, MemoryEngine
+from .config import CacheConfig, NodeConfig
+from .engine import (
+    KernelResult,
+    MemoryEngine,
+    cap_by_ni,
+    check_deposit_pattern,
+    processor_counts,
+    readahead_active,
+)
 from .streams import AccessStream
 
 __all__ = ["FastEngine", "FastpathUnsupported", "FASTPATH_VERSION"]
@@ -739,21 +745,6 @@ class _ProcessorKernel:
             hi = min(lo + _BLOCK_WORDS, self.nwords)
             _replay(*self._compile(lo, hi), self.pipe_depth, self.clocks)
         ns = self.clocks.finish()
-        tracer = current_tracer()
-        if tracer is not None:
-            metrics = tracer.metrics
-            metrics.inc("memsim.kernels")
-            metrics.inc("memsim.cache_hits", self.cache_hits)
-            metrics.inc(
-                "memsim.cache_misses", self.cache_probes - self.cache_hits
-            )
-            metrics.inc("memsim.dirty_evictions", self.dirty_evictions)
-            metrics.inc("memsim.page_hits", self.page_hits)
-            metrics.inc("memsim.page_misses", self.page_total - self.page_hits)
-            # Scheduled drains plus the finish drain when entries are
-            # still buffered past the last word — the same tally the
-            # scalar engine's non-empty _drain_stores calls produce.
-            metrics.inc("memsim.wb_drains", self.drains)
         probes = self.cache_probes
         return KernelResult(
             ns=ns,
@@ -761,6 +752,17 @@ class _ProcessorKernel:
             cache_hit_rate=self.cache_hits / probes if probes else 0.0,
             dram_page_hit_rate=(
                 self.page_hits / self.page_total if self.page_total else 0.0
+            ),
+            # ``drains`` holds the scheduled drains plus the finish drain
+            # when entries are still buffered past the last word — the
+            # same tally the scalar engine's non-empty drains produce.
+            counts=processor_counts(
+                self.cache_hits,
+                probes - self.cache_hits,
+                self.dirty_evictions,
+                self.page_hits,
+                self.page_total - self.page_hits,
+                self.drains,
             ),
         )
 
@@ -1105,16 +1107,12 @@ class FastEngine:
         return self._run_processor_kernel(read=read, write=write)
 
     def run_load_send(self, read: AccessStream) -> KernelResult:
-        result = self._run_processor_kernel(
-            read=read, write=None, ni_store=True
-        )
-        return self._cap_by_ni(result)
+        result = self._run_processor_kernel(read=read, write=None, ni_store=True)
+        return cap_by_ni(self.node, result)
 
     def run_receive_store(self, write: AccessStream) -> KernelResult:
-        result = self._run_processor_kernel(
-            read=None, write=write, ni_load=True
-        )
-        return self._cap_by_ni(result)
+        result = self._run_processor_kernel(read=None, write=write, ni_load=True)
+        return cap_by_ni(self.node, result)
 
     def run_fetch_send(self, nwords: int) -> KernelResult:
         # Already O(1) in the scalar engine; delegate so the DMA page
@@ -1132,11 +1130,7 @@ class FastEngine:
 
     def run_deposit(self, write: AccessStream) -> KernelResult:
         cfg = self.node
-        if not cfg.deposit.supports(write.pattern.is_contiguous):
-            raise ValueError(
-                f"deposit engine ({cfg.deposit.patterns}) cannot handle "
-                f"write pattern {write.pattern}"
-            )
+        check_deposit_pattern(cfg, write)
         merge = write.pattern.is_contiguous
         word_ns = (
             cfg.deposit.contiguous_word_ns if merge else cfg.deposit.pair_word_ns
@@ -1144,7 +1138,7 @@ class FastEngine:
         addresses = np.asarray(write.addresses, dtype=np.int64)
         n = addresses.shape[0]
         if n == 0:
-            return self._cap_by_ni(KernelResult(ns=0.0, nwords=0))
+            return KernelResult(ns=0.0, nwords=0)
         if merge:
             lines = addresses // cfg.cache.line_bytes
             starts_mask = np.empty(n, dtype=bool)
@@ -1179,39 +1173,20 @@ class FastEngine:
         cum = np.cumsum(occ)
         dram_final = float(np.max(flush_at - (cum - occ)) + cum[-1])
         engine_t = float(n) * word_ns
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.metrics.inc("memsim.kernels")
-            tracer.metrics.inc("memsim.page_hits", int(hit.sum()))
-            tracer.metrics.inc("memsim.page_misses", int((~hit).sum()))
+        page_hits, entries = int(hit.sum()), hit.shape[0]
         result = KernelResult(
             ns=max(engine_t, dram_final),
             nwords=n,
-            dram_page_hit_rate=float(hit.sum()) / hit.shape[0] if hit.shape[0] else 0.0,
+            dram_page_hit_rate=page_hits / entries,
+            counts=(
+                ("memsim.kernels", 1),
+                ("memsim.page_hits", page_hits),
+                ("memsim.page_misses", entries - page_hits),
+            ),
         )
-        return self._cap_by_ni(result)
+        return cap_by_ni(cfg, result)
 
     # -- shared processor-kernel machinery ---------------------------------
-
-    def _cap_by_ni(self, result: KernelResult) -> KernelResult:
-        fifo = self.node.ni.fifo_mbps
-        if fifo <= 0:
-            return result
-        floor_ns = result.nwords * WORD_BYTES / fifo * 1000.0
-        if result.ns >= floor_ns:
-            return result
-        return KernelResult(
-            ns=floor_ns,
-            nwords=result.nwords,
-            cache_hit_rate=result.cache_hit_rate,
-            dram_page_hit_rate=result.dram_page_hit_rate,
-        )
-
-    def _readahead_active(self, read: AccessStream, writes_to_dram: bool) -> bool:
-        cfg = self.node.read_ahead
-        if not cfg.enabled or not read.pattern.is_contiguous:
-            return False
-        return cfg.survives_writes or not writes_to_dram
 
     def _run_processor_kernel(
         self,
@@ -1222,10 +1197,9 @@ class FastEngine:
     ) -> KernelResult:
         nwords = read.nwords if read is not None else write.nwords  # type: ignore[union-attr]
         if nwords == 0:
-            result = KernelResult(ns=0.0, nwords=0)
-            return self._cap_by_ni(result) if ni_store or ni_load else result
-        readahead_mode = read is not None and self._readahead_active(
-            read, writes_to_dram=write is not None
+            return KernelResult(ns=0.0, nwords=0)
+        readahead_mode = read is not None and readahead_active(
+            self.node, read, writes_to_dram=write is not None
         )
         return _ProcessorKernel(
             self.node, self.occupancy_scale, read, write, ni_store, ni_load,

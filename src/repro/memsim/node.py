@@ -109,10 +109,17 @@ class NodeMemorySystem:
         self._results.clear()
         self._fast_unsupported.clear()
 
-    def _memo_hit(self, result: KernelResult) -> KernelResult:
+    @staticmethod
+    def _count(*counts: Tuple[str, int]) -> None:
+        """Hand ``(counter, value)`` pairs to an active tracer: the memory
+        simulator's one tracer read (kernels never see a tracer)."""
         tracer = current_tracer()
         if tracer is not None:
-            tracer.metrics.inc("memsim.memo_hits")
+            for name, value in counts:
+                tracer.metrics.inc(name, value)
+
+    def _memo_hit(self, result: KernelResult) -> KernelResult:
+        self._count(("memsim.memo_hits", 1))
         return result
 
     def _run_with(
@@ -131,9 +138,7 @@ class NodeMemorySystem:
         )
         result = getattr(engine, f"run_{key[0]}")(*streams)
         self.last_engine = used
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.metrics.inc(f"memsim.engine.{used}")
+        self._count(*result.counts, (f"memsim.engine.{used}", 1))
         self._results[key + (used,)] = result
         return result
 
@@ -183,9 +188,7 @@ class NodeMemorySystem:
                 # never uses the fast path shows up in metrics.
                 self._fast_unsupported[key] = True
                 self.fastpath_fallbacks += 1
-                tracer = current_tracer()
-                if tracer is not None:
-                    tracer.metrics.inc("memsim.fastpath_unsupported")
+                self._count(("memsim.fastpath_unsupported", 1))
         cached = self._results.get(key + ("scalar",))
         if cached is not None:
             return self._memo_hit(cached)
@@ -232,7 +235,9 @@ class NodeMemorySystem:
         """Run ``1F0`` and return the full kernel result."""
         count = nwords or self.nwords
         # O(1) closed form in the scalar engine already; no fast twin.
-        return self._engine().run_fetch_send(count)
+        result = self._engine().run_fetch_send(count)
+        self._count(*result.counts)
+        return result
 
     def load_stream_result(self, read: AccessPattern) -> KernelResult:
         """Run a pure load stream (Section 3.5.1 read bandwidth)."""

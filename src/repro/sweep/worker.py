@@ -5,10 +5,10 @@ per-cell loop is **batching**: cells of one shard (and of later shards
 the same process picks up) share a worker-local memo of machines,
 calibration tables, runtimes and node harnesses, so the expensive
 shared work — deriving a machine's simulated calibration table — is
-paid once per process instead of once per cell.  On top of that the
-workers share the on-disk calibration cache (:mod:`repro.caching`),
-so across processes each distinct table is simulated at most once per
-cache-cold run.
+paid once per process instead of once per cell.  A memo holding a
+simulated table is keyed on the memsim engine selection, as the
+calibration cache (:mod:`repro.caching`) is; through the cache's disk
+layer each distinct table is simulated at most once per cache-cold run.
 
 :func:`run_shard` hands each shard to the batch engine
 (:mod:`repro.sweep.batch`); :func:`run_cell` is the scalar per-cell
@@ -57,9 +57,9 @@ _INIT_ERROR: Optional[str] = None
 
 # Worker-local memos (pure caches; see module docstring).
 _machines: Dict[str, Any] = {}
-_models: Dict[Tuple[str, str], Any] = {}
-_runtimes: Dict[Tuple[str, str, str], Any] = {}
-_tables: Dict[Tuple[str, str], Any] = {}
+_models: Dict[Tuple[str, str, str], Any] = {}
+_runtimes: Dict[Tuple[str, str, str, str], Any] = {}
+_tables: Dict[Tuple[str, str, str], Any] = {}
 _nodes: Dict[Tuple[str, int], Any] = {}
 
 
@@ -117,20 +117,25 @@ def _pattern(key: str) -> AccessPattern:
     return AccessPattern.parse(key)
 
 
+def _engine() -> str:
+    """The memsim engine selection a simulated table is measured under."""
+    return os.environ.get(ENGINE_ENV) or "auto"
+
+
 def _table(machine_name: str, rates: str):
-    key = (machine_name, rates)
+    key = (machine_name, rates, _engine())
     if key not in _tables:
         machine = machine_by_key(machine_name)
-        if rates == "paper":
-            _tables[key] = machine.paper_table()
-        else:
-            _tables[key] = machine.simulated_table()
+        _tables[key] = (
+            machine.paper_table() if rates == "paper"
+            else machine.simulated_table()
+        )
     return _tables[key]
 
 
 def _runtime(machine_name: str, style: str, rates: str):
     """A memoized CommRuntime under measure_q's library conventions."""
-    key = (machine_name, style, rates)
+    key = (machine_name, style, rates, _engine())
     if key not in _runtimes:
         from ..runtime.engine import CommRuntime
         from ..runtime.libraries import lowlevel_profile, packing_profile
@@ -142,16 +147,14 @@ def _runtime(machine_name: str, style: str, rates: str):
             else lowlevel_profile()
         )
         _runtimes[key] = CommRuntime(
-            machine,
-            library=library,
-            rates=rates,
+            machine, library=library, rates=rates,
             table=_table(machine_name, rates),
         )
     return _runtimes[key]
 
 
 def _model(machine_name: str, source: str):
-    key = (machine_name, source)
+    key = (machine_name, source, _engine())
     if key not in _models:
         _models[key] = machine_by_key(machine_name).model(source=source)
     return _models[key]

@@ -6,7 +6,8 @@ for every configuration it accepts, it must reproduce the scalar
 These properties drive both engines over random node configurations,
 access patterns and stream lengths and demand agreement — times to a
 relative 1e-9 (vectorized reductions reassociate float sums), hit
-rates to 1e-12 (they are ratios of integers in both engines).
+rates to 1e-12 (they are ratios of integers in both engines), and the
+event tallies each kernel records in ``KernelResult.counts`` exactly.
 
 CI gates on this module: the job fails if these tests are skipped,
 so the parity guarantee cannot silently rot.
@@ -60,6 +61,14 @@ def assert_results_match(ref, fast, tag: str) -> None:
         f"{tag}: page hit rate {ref.dram_page_hit_rate!r} != "
         f"{fast.dram_page_hit_rate!r}"
     )
+    # Event tallies agree name by name; a name one engine does not
+    # record (the fast deposit kernel never touches the cache) is zero.
+    ref_counts, fast_counts = dict(ref.counts), dict(fast.counts)
+    for name in ref_counts.keys() | fast_counts.keys():
+        assert ref_counts.get(name, 0) == fast_counts.get(name, 0), (
+            f"{tag}: {name} {ref_counts.get(name, 0)} != "
+            f"{fast_counts.get(name, 0)}"
+        )
 
 
 # -- strategies ---------------------------------------------------------------
