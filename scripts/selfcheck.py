@@ -28,8 +28,11 @@ under ``src/repro/``:
   instead) or in the memsim kernels ``memsim/engine.py`` and
   ``memsim/fastpath.py`` (they fill ``KernelResult.counts``); it is
   read only inside ``CommRuntime.transfer`` in ``runtime/engine.py``,
-  which hands the transfer's ledger to the one emitter, and inside
-  ``NodeMemorySystem._count`` in ``memsim/node.py``.
+  which hands the transfer's ledger to the one emitter, inside
+  ``CommunicationStep.emit`` in ``runtime/collective.py`` (a step's
+  one emitter, which also replays a memoized round's ledger), and
+  inside ``NodeMemorySystem._count`` in ``memsim/node.py``; the
+  collectives in ``runtime/collectives.py`` never read it.
 
 Exit status: 0 when clean, 1 when any violation is found.
 """
@@ -58,6 +61,8 @@ TRACER_READ = "current_tracer"
 TRACER_SCOPES: Dict[Path, Optional[Tuple[str, ...]]] = {
     PACKAGE_ROOT / "runtime" / "stages.py": None,
     PACKAGE_ROOT / "runtime" / "engine.py": ("CommRuntime", "transfer"),
+    PACKAGE_ROOT / "runtime" / "collective.py": ("CommunicationStep", "emit"),
+    PACKAGE_ROOT / "runtime" / "collectives.py": None,
     PACKAGE_ROOT / "memsim" / "engine.py": None,
     PACKAGE_ROOT / "memsim" / "fastpath.py": None,
     PACKAGE_ROOT / "memsim" / "node.py": ("NodeMemorySystem", "_count"),

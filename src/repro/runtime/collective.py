@@ -16,18 +16,24 @@ and receiving simultaneously under the pattern's network congestion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.operations import OperationStyle
 from ..core.patterns import AccessPattern
 from ..faults.degrade import DegradedResult
 from ..faults.spec import FaultPlan, current_fault_plan
 from ..trace.tracer import current_tracer
-from .engine import CommRuntime, MeasuredTransfer
+from .engine import CommRuntime, MeasuredTransfer, _emit
 
 __all__ = ["StepResult", "CommunicationStep"]
 
 Flow = Tuple[int, int]
+
+#: What a step's price depends on once the runtime, patterns, style,
+#: fault plan and tracer are fixed: ``(bytes_per_flow, congestion,
+#: messages_per_node, src, dst)``, the endpoints being the sample flow
+#: under a fault plan and ``None`` otherwise.
+Signature = Tuple[int, float, int, Optional[int], Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -116,11 +122,6 @@ class CommunicationStep:
         return plan
 
     def _congestion(self, plan: Optional[FaultPlan] = None) -> float:
-        model = self.runtime.machine.network_model()
-        if plan is not None:
-            # Failed links reroute the pattern's flows and derated ones
-            # weight their load; both lift the worst-link congestion.
-            model.topology = plan.wrap_topology(model.topology)
         if self.scheduled:
             # Phase-schedule the pattern (shift schedule for complete
             # exchanges, greedy otherwise) and take the worst per-phase
@@ -135,6 +136,11 @@ class CommunicationStep:
             per_phase = scheduled_congestion(topology, self.flows)
             floor = max(1, self.runtime.machine.network.port_sharing)
             return float(max(per_phase, floor)) * self.schedule_slack
+        model = self.runtime.machine.network_model()
+        if plan is not None:
+            # Failed links reroute the pattern's flows and derated ones
+            # weight their load; both lift the worst-link congestion.
+            model.topology = plan.wrap_topology(model.topology)
         return model.congestion_for(self.flows)
 
     def _sample_flow(self, plan: Optional[FaultPlan]) -> Flow:
@@ -165,29 +171,42 @@ class CommunicationStep:
         (N senders, one receiver: the hot node receives N messages but
         sends none) and overstates the hot node's throughput.
         """
-        sends: dict = {}
-        receives: dict = {}
+        sends: Dict[int, int] = {}
+        receives: Dict[int, int] = {}
+        busiest = 0
         for src, dst in self.flows:
-            sends[src] = sends.get(src, 0) + 1
-            receives[dst] = receives.get(dst, 0) + 1
-        nodes = sends.keys() | receives.keys()
-        return max(
-            max(sends.get(node, 0), receives.get(node, 0)) for node in nodes
-        )
+            sent = sends[src] = sends.get(src, 0) + 1
+            received = receives[dst] = receives.get(dst, 0) + 1
+            if sent > busiest:
+                busiest = sent
+            if received > busiest:
+                busiest = received
+        return busiest
 
-    def run(self, style: OperationStyle = OperationStyle.CHAINED) -> StepResult:
-        """Execute the step and report per-node throughput."""
-        plan = self._fault_plan()
+    def signature(self, plan: Optional[FaultPlan]) -> Signature:
+        """What this step's price depends on under ``plan``.
+
+        With the runtime, the access patterns, the style, the fault
+        plan and the tracer fixed, two steps with equal signatures
+        price identically (fault draws are keyed on the sample flow's
+        endpoints, not on call order), so a collective prices each
+        distinct signature once.
+        """
         congestion = self._congestion(plan)
         messages = self._messages_per_node()
         src: Optional[int] = None
         dst: Optional[int] = None
         if plan is not None:
             src, dst = self._sample_flow(plan)
+        return (self.bytes_per_flow, congestion, messages, src, dst)
+
+    def price(self, style: OperationStyle, signature: Signature) -> StepResult:
+        """Measure the sample transfer and cost the step from it."""
+        nbytes, congestion, messages, src, dst = signature
         sample = self.runtime.transfer(
             self.x,
             self.y,
-            self.bytes_per_flow,
+            nbytes,
             style=style,
             congestion=congestion,
             duplex=True,
@@ -199,44 +218,9 @@ class CommunicationStep:
         # node's bottleneck resource plus a synchronization cost
         # (partner switch, flow-control handshake) that cannot be
         # pipelined away.
-        efficiency = self.runtime.machine.quirks.runtime_efficiency
-        steady_ns = (
-            sample.bottleneck_busy_ns() / efficiency + self.sync_per_message_ns
-        )
+        steady_ns = self._steady_ns(sample)
         step_ns = sample.ns + self.sync_per_message_ns + (messages - 1) * steady_ns
-        bytes_per_node = self.bytes_per_flow * messages
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.count("step.runs")
-            tracer.count("step.messages_per_node", messages)
-            if sample.degraded is not None:
-                tracer.count("step.degraded")
-            tracer.span(
-                "first-message",
-                track="step",
-                start_ns=0.0,
-                duration_ns=sample.ns,
-                category="step",
-                nbytes=self.bytes_per_flow,
-                congestion=congestion,
-            )
-            tracer.span(
-                "sync",
-                track="step",
-                start_ns=sample.ns,
-                duration_ns=self.sync_per_message_ns,
-                category="step",
-            )
-            if messages > 1:
-                tracer.span(
-                    "steady-state",
-                    track="step",
-                    start_ns=sample.ns + self.sync_per_message_ns,
-                    duration_ns=(messages - 1) * steady_ns,
-                    category="step",
-                    messages=messages - 1,
-                    steady_ns_per_message=steady_ns,
-                )
+        bytes_per_node = nbytes * messages
         return StepResult(
             per_node_mbps=bytes_per_node / step_ns * 1000.0,
             step_ns=step_ns,
@@ -245,3 +229,60 @@ class CommunicationStep:
             bytes_per_node=bytes_per_node,
             sample=sample,
         )
+
+    def _steady_ns(self, sample: MeasuredTransfer) -> float:
+        efficiency = self.runtime.machine.quirks.runtime_efficiency
+        return sample.bottleneck_busy_ns() / efficiency + self.sync_per_message_ns
+
+    def emit(self, result: StepResult, replay: bool = False) -> None:
+        """Trace ``result``: the step's only tracing.
+
+        ``replay`` re-emits a step priced earlier in the same
+        collective: its sample transfer's ledger first, exactly as the
+        runtime wrote it when the transfer ran, then the step's own
+        counters and spans.
+        """
+        tracer = current_tracer()
+        if tracer is None:
+            return
+        sample = result.sample
+        if replay:
+            _emit(tracer, sample.ledger)
+        messages = result.messages_per_node
+        tracer.count("step.runs")
+        tracer.count("step.messages_per_node", messages)
+        if sample.degraded is not None:
+            tracer.count("step.degraded")
+        tracer.span(
+            "first-message",
+            track="step",
+            start_ns=0.0,
+            duration_ns=sample.ns,
+            category="step",
+            nbytes=sample.nbytes,
+            congestion=result.congestion,
+        )
+        tracer.span(
+            "sync",
+            track="step",
+            start_ns=sample.ns,
+            duration_ns=self.sync_per_message_ns,
+            category="step",
+        )
+        if messages > 1:
+            steady_ns = self._steady_ns(sample)
+            tracer.span(
+                "steady-state",
+                track="step",
+                start_ns=sample.ns + self.sync_per_message_ns,
+                duration_ns=(messages - 1) * steady_ns,
+                category="step",
+                messages=messages - 1,
+                steady_ns_per_message=steady_ns,
+            )
+
+    def run(self, style: OperationStyle = OperationStyle.CHAINED) -> StepResult:
+        """Execute the step and report per-node throughput."""
+        result = self.price(style, self.signature(self._fault_plan()))
+        self.emit(result)
+        return result

@@ -4,9 +4,10 @@ The paper prices a *single* communication step (Section 6); real
 applications run collectives — broadcast, allreduce, alltoall — which
 are just sequences of such steps.  Each algorithm here lowers to a
 tuple of :class:`CollectiveRound` objects (a flow pattern plus a
-per-flow payload), every round runs as a
-:class:`~repro.runtime.collective.CommunicationStep`, and the
-collective's cost is the sum of its rounds — which is exactly why the
+per-flow payload), every round is priced as a
+:class:`~repro.runtime.collective.CommunicationStep` (each distinct
+round once per call), and the collective's cost is the sum of its
+rounds — which is exactly why the
 model-driven selector (:func:`repro.compiler.advisor.choose_algorithm`)
 can rank algorithms per (machine, size) regime the way PAPERS.md
 "Prédiction de Performances pour les Communications Collectives"
@@ -38,13 +39,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.errors import ModelError
 from ..core.operations import OperationStyle
 from ..core.patterns import AccessPattern
+from ..faults.spec import FaultPlan
 from ..machines.cluster import ClusterMachine
-from .collective import CommunicationStep, StepResult
+from .collective import CommunicationStep, Signature, StepResult
 from .engine import CommRuntime
 
 __all__ = [
@@ -261,17 +263,36 @@ def run_collective(
             # inter-node round divides the NIC between them.
             contention = machine.nic_contention(cores)
 
+    # The round memo.  Within this call the runtime, patterns, style,
+    # fault plan and tracer are fixed, so a round's price depends only
+    # on its step's signature: each distinct round is signed once, each
+    # distinct signature priced once, and a repeat replays the priced
+    # round (its trace included).  The memo dies with the call.
+    plan: Optional[FaultPlan] = None
+    signatures: Dict[CollectiveRound, Signature] = {}
+    priced: Dict[Signature, Tuple[CommunicationStep, StepResult]] = {}
     results = []
     round_ns = []
     for current in rounds:
-        step = CommunicationStep(
-            runtime,
-            current.flows,
-            read,
-            write,
-            current.bytes_per_flow,
-        )
-        result = step.run(style)
+        signature = signatures.get(current)
+        replay = True
+        if signature is None:
+            step = CommunicationStep(
+                runtime,
+                current.flows,
+                read,
+                write,
+                current.bytes_per_flow,
+            )
+            if not signatures:
+                # The first round resolves the call's fault plan.
+                plan = step._fault_plan()
+            signature = signatures[current] = step.signature(plan)
+            if signature not in priced:
+                priced[signature] = (step, step.price(style, signature))
+                replay = False
+        step, result = priced[signature]
+        step.emit(result, replay)
         results.append(result)
         round_ns.append(result.step_ns * contention)
 

@@ -24,7 +24,7 @@ that make real measurements land 10-20% under the model (Figures 7/8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
@@ -89,6 +89,10 @@ class MeasuredTransfer:
             ``None`` on the nominal path.
         retries: Fragment/message retransmissions charged by the
             fault plan's retry policy.
+        ledger: The transfer's ledger rows in the order they were
+            charged — what a tracer received for this transfer, so a
+            caller that reuses the result can replay its trace.  Chunk
+            rows are present only when the transfer ran traced.
     """
 
     mbps: float
@@ -103,6 +107,7 @@ class MeasuredTransfer:
     diagnostics: Tuple["Diagnostic", ...] = ()
     degraded: Optional[DegradedResult] = None
     retries: int = 0
+    ledger: Tuple["_Row", ...] = field(default=(), compare=False, repr=False)
 
     def bottleneck_busy_ns(self) -> float:
         """Busy time of the most-loaded resource for this message.
@@ -226,6 +231,9 @@ class _Ledger(List[_Row]):
 
 def _emit(tracer: Tracer, ledger: Sequence[_Row]) -> None:
     """Write a transfer's ledger to ``tracer``: the runtime's only tracing.
+
+    A collective's round memo replays a kept ledger
+    (:attr:`MeasuredTransfer.ledger`) through it as well.
 
     Metric rows become counter increments and histogram observations.
     A pipeline phase writes its chunk rows first, as ``phase:stage``
@@ -814,6 +822,7 @@ class CommRuntime:
             diagnostics=self._analyze(x, y, style, duplex) if analyze else (),
             degraded=degraded,
             retries=retries,
+            ledger=tuple(ledger),
         )
 
     def _nominal_mbps(

@@ -109,6 +109,14 @@ class StagePipeline:
             name if names.count(name) == 1 else f"{name}#{index}"
             for index, name in enumerate(names)
         ]
+        # Resources by position: stage i occupies
+        # ``self._resources[self._slots[i]]``.
+        slot_of: Dict[str, int] = {}
+        self._slots = [
+            slot_of.setdefault(stage.resource, len(slot_of))
+            for stage in self.stages
+        ]
+        self._resources = list(slot_of)
 
     def run(
         self, nbytes: int, chunk_bytes: int = 8192, record: bool = False
@@ -126,6 +134,15 @@ class StagePipeline:
 
         full_chunks, tail = divmod(nbytes, chunk_bytes)
         sizes = [chunk_bytes] * full_chunks + ([tail] if tail else [])
+        # A message has at most two chunk sizes (full and tail), so each
+        # stage's chunk cost is computed once per size; the first chunk
+        # also pays every stage's one-time startup.
+        costs = {size: [stage.chunk_ns(size) for stage in self.stages]
+                 for size in set(sizes)}
+        durations = [costs[size] for size in sizes]
+        durations[0] = [
+            ns + stage.startup_ns for ns, stage in zip(durations[0], self.stages)
+        ]
 
         busy: List[float] = [0.0] * len(self.stages)
         # Two loops, one arithmetic: the hot path carries no per-chunk
@@ -133,9 +150,9 @@ class StagePipeline:
         # same operations, so results match bit for bit either way.
         chunks: List[Tuple[str, str, float, float, Dict[str, Any]]] = []
         if record:
-            finish = self._run_recorded(sizes, busy, chunks)
+            finish = self._run_recorded(sizes, durations, busy, chunks)
         else:
-            finish = self._run(sizes, busy)
+            finish = self._run(durations, busy)
 
         return PipelineResult(
             ns=finish,
@@ -144,22 +161,22 @@ class StagePipeline:
             chunks=tuple(chunks),
         )
 
-    def _run(self, sizes: Sequence[int], busy: List[float]) -> float:
-        resource_free: Dict[str, float] = {}
-        started: List[bool] = [False] * len(self.stages)
+    def _run(
+        self, durations: Sequence[Sequence[float]], busy: List[float]
+    ) -> float:
+        slots = self._slots
+        resource_free = [0.0] * len(self._resources)
         finish = 0.0
         # Chunk-major order: stages sharing a resource alternate between
         # consecutive chunks instead of hogging it for the whole message.
-        for size in sizes:
+        for chunk in durations:
             chunk_ready = 0.0
-            for position, stage in enumerate(self.stages):
-                start = max(chunk_ready, resource_free.get(stage.resource, 0.0))
-                duration = stage.chunk_ns(size)
-                if not started[position]:
-                    duration += stage.startup_ns
-                    started[position] = True
+            for position, slot in enumerate(slots):
+                free = resource_free[slot]
+                start = free if free > chunk_ready else chunk_ready
+                duration = chunk[position]
                 chunk_ready = start + duration
-                resource_free[stage.resource] = chunk_ready
+                resource_free[slot] = chunk_ready
                 busy[position] += duration
             finish = chunk_ready
         return finish
@@ -167,24 +184,23 @@ class StagePipeline:
     def _run_recorded(
         self,
         sizes: Sequence[int],
+        durations: Sequence[Sequence[float]],
         busy: List[float],
         chunks: List[Tuple[str, str, float, float, Dict[str, Any]]],
     ) -> float:
-        resource_free: Dict[str, float] = {}
-        started: List[bool] = [False] * len(self.stages)
+        slots = self._slots
+        resource_free = [0.0] * len(self._resources)
         finish = 0.0
-        for chunk_index, size in enumerate(sizes):
+        for chunk_index, (size, chunk) in enumerate(zip(sizes, durations)):
             chunk_ready = 0.0
-            for position, stage in enumerate(self.stages):
-                start = max(chunk_ready, resource_free.get(stage.resource, 0.0))
-                duration = stage.chunk_ns(size)
-                if not started[position]:
-                    duration += stage.startup_ns
-                    started[position] = True
+            for position, slot in enumerate(slots):
+                free = resource_free[slot]
+                start = free if free > chunk_ready else chunk_ready
+                duration = chunk[position]
                 chunks.append(
                     (
                         self.labels[position],
-                        stage.resource,
+                        self._resources[slot],
                         start,
                         duration,
                         {
@@ -195,7 +211,7 @@ class StagePipeline:
                     )
                 )
                 chunk_ready = start + duration
-                resource_free[stage.resource] = chunk_ready
+                resource_free[slot] = chunk_ready
                 busy[position] += duration
             finish = chunk_ready
         return finish

@@ -1,11 +1,19 @@
 """Collective operations: round lowering, execution, hierarchy."""
 
 import math
+import re
 
 import pytest
 
-from repro.core.errors import ModelError
-from repro.machines import cluster, t3d, xe
+from repro.core.errors import (
+    CompositionError,
+    ModelError,
+    TransferAbortedError,
+)
+from repro.core.patterns import AccessPattern
+from repro.faults import FaultPlan
+from repro.machines import MACHINE_FACTORIES, cluster, machine_by_key, t3d, xe
+from repro.runtime.collective import CommunicationStep
 from repro.runtime.collectives import (
     ALGORITHMS,
     COLLECTIVE_OPS,
@@ -135,3 +143,71 @@ class TestRunCollective:
         factor = flat.nic_contention
         for charged, step in zip(flat.round_ns, flat.rounds):
             assert charged == step.step_ns * factor
+
+
+def _unmemoized(runtime, op, algorithm, nodes, nbytes):
+    """Every round run as its own step."""
+    one = AccessPattern.parse("1")
+    return tuple(
+        CommunicationStep(
+            runtime, current.flows, one, one, current.bytes_per_flow
+        ).run()
+        for current in collective_rounds(op, algorithm, nodes, nbytes)
+    )
+
+
+class TestRoundMemo:
+    """Pricing each distinct round once changes no result."""
+
+    @pytest.mark.parametrize("hierarchical", [None, False])
+    @pytest.mark.parametrize("seed", [None, 7])
+    @pytest.mark.parametrize("key", sorted(MACHINE_FACTORIES))
+    def test_matches_running_every_round(self, key, seed, hierarchical):
+        machine = machine_by_key(key)
+        plan = FaultPlan.chaos(seed) if seed is not None else None
+        runtime = CommRuntime(
+            machine, faults=plan, table=machine.paper_table()
+        )
+        for op, algorithms in ALGORITHMS.items():
+            for algorithm in algorithms:
+                for nodes in (5, 8):
+                    try:
+                        result = run_collective(
+                            runtime, op, algorithm, nodes, 65536,
+                            hierarchical=hierarchical,
+                        )
+                    except (CompositionError, TransferAbortedError) as exc:
+                        # A plan can leave a machine no receive path:
+                        # then the first round fails either way.
+                        with pytest.raises(type(exc), match=re.escape(
+                            str(exc)
+                        )):
+                            _unmemoized(runtime, op, algorithm, nodes, 65536)
+                        continue
+                    rounds = _unmemoized(runtime, op, algorithm, nodes, 65536)
+                    round_ns = tuple(
+                        step.step_ns * result.nic_contention for step in rounds
+                    )
+                    assert len(result.rounds) == len(
+                        collective_rounds(op, algorithm, nodes, 65536)
+                    )
+                    assert result.rounds == rounds
+                    assert result.round_ns == round_ns
+                    assert result.total_ns == (
+                        result.intra_gather_ns
+                        + math.fsum(round_ns)
+                        + result.intra_scatter_ns
+                    )
+
+    def test_ring_reaches_the_runtime_once(self, monkeypatch):
+        calls = []
+        transfer = CommRuntime.transfer
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return transfer(self, *args, **kwargs)
+
+        monkeypatch.setattr(CommRuntime, "transfer", counted)
+        result = run_collective(_runtime(xe), "allreduce", "ring", 64, 65536)
+        assert len(result.rounds) == 2 * 63
+        assert len(calls) == 1

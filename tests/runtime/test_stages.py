@@ -1,5 +1,7 @@
 """Tests for the chunked stage pipeline (repro.runtime.stages)."""
 
+import random
+
 import pytest
 
 from repro.runtime.stages import Stage, StagePipeline
@@ -138,3 +140,71 @@ class TestValidation:
             pipeline.run(0)
         with pytest.raises(ValueError):
             pipeline.run(100, chunk_bytes=0)
+
+
+def _reference_run(stages, nbytes, chunk_bytes):
+    """The chunk loop as first written: every chunk re-costs every
+    stage and looks its resource up by name.  Kept verbatim so the
+    precomputed-cost loops can be held to it bit for bit."""
+    full_chunks, tail = divmod(nbytes, chunk_bytes)
+    sizes = [chunk_bytes] * full_chunks + ([tail] if tail else [])
+    busy = [0.0] * len(stages)
+    labels = StagePipeline(stages).labels
+    chunks = []
+    resource_free = {}
+    started = [False] * len(stages)
+    finish = 0.0
+    for chunk_index, size in enumerate(sizes):
+        chunk_ready = 0.0
+        for position, stage in enumerate(stages):
+            start = max(chunk_ready, resource_free.get(stage.resource, 0.0))
+            duration = stage.chunk_ns(size)
+            if not started[position]:
+                duration += stage.startup_ns
+                started[position] = True
+            chunks.append((
+                labels[position], stage.resource, start, duration,
+                {"chunk": chunk_index, "bytes": size,
+                 "wait_ns": start - chunk_ready},
+            ))
+            chunk_ready = start + duration
+            resource_free[stage.resource] = chunk_ready
+            busy[position] += duration
+        finish = chunk_ready
+    return finish, dict(zip(labels, busy)), tuple(chunks)
+
+
+def _random_stages(rng):
+    resources = ["cpu", "net", "dma", "deposit"][: rng.randint(1, 4)]
+    return [
+        Stage(
+            rng.choice(["copy", "send", "wire", "recv"]),
+            rng.uniform(5.0, 500.0),
+            rng.choice(resources),
+            chunk_overhead_ns=rng.choice([0.0, rng.uniform(0.0, 5000.0)]),
+            startup_ns=rng.choice([0.0, rng.uniform(0.0, 1e6)]),
+        )
+        for __ in range(rng.randint(1, 6))
+    ]
+
+
+class TestMatchesReferenceLoop:
+    """Per-size chunk costs and positional resources change no bit."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_pipelines_match_bit_for_bit(self, seed):
+        rng = random.Random(seed)
+        for __ in range(50):
+            stages = _random_stages(rng)
+            chunk = rng.choice([1, 7, 512, 4096, 8192, 65536])
+            nbytes = rng.choice([1, chunk, chunk * rng.randint(1, 40)])
+            nbytes += rng.choice([0, 0, rng.randint(1, chunk)])
+            ns, busy, chunks = _reference_run(stages, nbytes, chunk)
+            pipeline = StagePipeline(stages)
+            fast = pipeline.run(nbytes, chunk_bytes=chunk)
+            recorded = pipeline.run(nbytes, chunk_bytes=chunk, record=True)
+            for result in (fast, recorded):
+                assert result.ns == ns
+                assert result.stage_busy_ns == busy
+            assert recorded.chunks == chunks
+            assert fast.chunks == ()

@@ -17,6 +17,13 @@ FAST_SPEC_PAYLOAD = {
 }
 
 
+#: Payload digest of ``sweep --grid collectives --seeds 7 --json`` with
+#: the calibration cache off: the CI collectives job's run, pinned.
+COLLECTIVES_SEED7_DIGEST = (
+    "5386cfe625c3b260b083bbe51c9bf1857290db50dcc6ffe1ef4a04965d4f5da2"
+)
+
+
 def _spec_file(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(FAST_SPEC_PAYLOAD))
@@ -69,6 +76,11 @@ class TestSweepCommand:
         assert "swept 8 cells" in out
         assert "t3d:1Q64:chained:8192" in out
         assert "digest" in out
+
+    def test_collectives_grid_digest_is_pinned(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        payload = _run_json(capsys, "--grid", "collectives", "--seeds", "7")
+        assert payload["digest"] == COLLECTIVES_SEED7_DIGEST
 
     def test_seeds_add_a_fault_axis(self, tmp_path, capsys):
         payload = _run_json(

@@ -15,6 +15,7 @@ from repro.sweep import (
     run_sweep,
 )
 from repro.sweep import worker as worker_module
+from repro.sweep.spec import collectives_spec
 from repro.trace import tracing
 
 FAST_SPEC = SweepSpec(
@@ -133,6 +134,14 @@ class TestWorkerCrash:
         )
         with pytest.raises(SweepError, match="worker pool failed"):
             run_sweep(FAST_SPEC, workers=2)
+
+
+class TestCollectiveGrid:
+    def test_64_node_seed_7_digest_is_pinned(self):
+        spec = collectives_spec(nodes=(64,), seeds=(7,))
+        assert run_sweep(spec).digest() == (
+            "7392ae216c29b9a5112559c050e4f70c7ed61ed143352fa8b123f7d0b5eaac80"
+        )
 
 
 class TestTracing:

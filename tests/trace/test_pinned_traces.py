@@ -9,7 +9,10 @@ Two pins guard the emitted trace against any reordering or change:
 * one digest over traced transfers on every registered machine, both
   styles, simplex and duplex, two libraries and four fault plans —
   the nominal path, degradation, retransmission and aborted transfers
-  (whose partial spans must still reach the trace).
+  (whose partial spans must still reach the trace);
+* traced collectives whose rounds repeat (a ring allreduce on xe, a
+  flat ring broadcast on cluster), nominal and under a chaos plan, so
+  a round priced once and replayed traces exactly as one re-run.
 """
 
 import hashlib
@@ -28,6 +31,7 @@ from repro.core.patterns import CONTIGUOUS, strided
 from repro.faults import FaultPlan
 from repro.faults.spec import FragmentFault
 from repro.machines import MACHINE_FACTORIES, machine_by_key
+from repro.runtime.collectives import run_collective
 from repro.runtime.engine import CommRuntime
 from repro.runtime.libraries import pvm_profile
 from repro.trace import chrome_trace, tracing
@@ -65,6 +69,19 @@ CLI_PINS = {
 FAULT_PATH_PIN = (
     "75f1f0171f45b5b2e2bf2d09466eeb3ad68751c8b1b63fe424f07ee590588b98"
 )
+
+#: (machine, op, algorithm, hierarchical, plan seed) -> digest of
+#: :func:`_collective_traces`; seed ``None`` is the nominal run.
+COLLECTIVE_PINS = {
+    ("xe", "allreduce", "ring", None, None):
+        "ad2697792a617b262831887803673feda25b194cbcd3ea2c9dd4578fdcfcf283",
+    ("xe", "allreduce", "ring", None, 7):
+        "ea9d312d48ab3cc08831b56e28b53c36639367fafc40a316a563a009293767d5",
+    ("cluster", "broadcast", "ring", False, None):
+        "13ca43725c1bd19cf60df4469f2e6401468f95722592384ee598ef12542edf1b",
+    ("cluster", "broadcast", "ring", False, 7):
+        "4925bc62247e57d96c88f2143029481c54cd806779fbc67c5507210ac6a1c595",
+}
 
 _PLANS = (
     None,
@@ -132,3 +149,28 @@ def _fault_path_traces() -> str:
 
 def test_fault_path_traces_are_pinned():
     assert _fault_path_traces() == FAULT_PATH_PIN
+
+
+def _collective_traces(key, op, algorithm, hierarchical, seed) -> str:
+    total = hashlib.sha256()
+    machine = machine_by_key(key)
+    plan = FaultPlan.chaos(seed) if seed is not None else None
+    runtime = CommRuntime(machine, faults=plan, table=machine.paper_table())
+    for nbytes in (4096, 65536):
+        with tracing() as tracer:
+            run_collective(
+                runtime, op, algorithm, 8, nbytes, hierarchical=hierarchical
+            )
+        samples = [(c.name, c.value, c.at_ns) for c in tracer.counters()]
+        total.update(
+            json.dumps([chrome_trace(tracer), samples], sort_keys=True).encode()
+        )
+    return total.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "case", list(COLLECTIVE_PINS),
+    ids=lambda case: f"{case[0]}-{case[1]}-{case[2]}-seed{case[4]}",
+)
+def test_repeated_round_collective_traces_are_pinned(case):
+    assert _collective_traces(*case) == COLLECTIVE_PINS[case]
