@@ -33,6 +33,10 @@ under ``src/repro/``:
   one emitter, which also replays a memoized round's ledger), and
   inside ``NodeMemorySystem._count`` in ``memsim/node.py``; the
   collectives in ``runtime/collectives.py`` never read it.
+* **SC007** — digests and draws have one home: ``hashlib`` is imported
+  only by ``repro/contract.py``.  Everything else hashes through
+  ``digest``, ``content_key`` or a ``draws`` stream, so no second
+  encoding of a replayed value can drift from the canonical one.
 
 Exit status: 0 when clean, 1 when any violation is found.
 """
@@ -282,6 +286,24 @@ def check_tracer_reads(path: Path, tree: ast.Module) -> Iterator[str]:
     yield from walk(tree, ())
 
 
+def check_hashlib_imports(path: Path, tree: ast.Module) -> Iterator[str]:
+    if path == CONTRACT:
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "hashlib" for name in modules):
+            yield (
+                f"SC007 {path.relative_to(REPO_ROOT)}:{node.lineno}: "
+                "hashlib imported outside repro/contract.py; hash through "
+                "contract.digest or a contract.draws stream"
+            )
+
+
 def check_verifier_examples() -> Iterator[str]:
     """SC004: run the verify passes over the repo's own example plans."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -331,6 +353,7 @@ def main() -> int:
         violations.extend(check_all_consistency(path, tree))
         violations.extend(check_schema_tag_literals(path, tree))
         violations.extend(check_tracer_reads(path, tree))
+        violations.extend(check_hashlib_imports(path, tree))
     violations.extend(check_error_docstrings(modules))
     violations.extend(check_verifier_examples())
     for violation in violations:

@@ -546,6 +546,9 @@ def _load_curve(args, profile, faults, horizon_ns) -> int:
     if args.json:
         payload = dict(payload)
         payload["digest"] = payload_digest
+        contract.require_valid(
+            payload, contract.LOAD_CURVE_TABLE, "latency curve"
+        )
         print(json_module.dumps(payload, indent=2, sort_keys=True))
         return EXIT_OK
     knee = payload["knee_multiplier"]

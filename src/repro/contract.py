@@ -10,10 +10,19 @@ replayed, and that rests on one set of decisions made here:
   load generation: a pure function of ``(seed, key)`` with no RNG
   state, so call order, worker sharding and event interleaving cannot
   perturb replay;
+* :func:`draws` — the one encoder behind every draw: it binds a
+  stream to ``(seed, *prefix)``, encodes that canonical-JSON head
+  once, and per draw encodes only the remaining key parts.
+  :func:`uniform` is the stream with an empty prefix, and a hot loop
+  (arrival gaps, template picks, per-message fault decisions) binds
+  its stream once instead of re-encoding the whole key every draw;
 * the ten schema tags, one constant each;
 * a small declarative checker (:class:`Field`, :class:`Schema`,
-  :func:`check`) and the schema tables of the five validated formats.
+  :func:`check`) and the schema tables of the six validated formats.
   A table's per-field ``doc`` strings are that format's documentation.
+
+This is the only module that imports :mod:`hashlib`
+(``scripts/selfcheck.py`` rule SC007).
 
 Wall-clock facts (elapsed seconds, events/s) never enter a payload:
 its canonical JSON must be bit-identical across replays, worker counts
@@ -24,8 +33,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from dataclasses import dataclass
 from importlib import import_module
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .core.errors import ModelError
@@ -36,11 +47,11 @@ __all__ = [
     "LOAD_CURVE", "LOAD_OVERLOAD", "LOAD_REPORT", "SWEEP_RESULT",
     "VERIFY_REPORT",
     # canonical bytes and the deterministic draw
-    "canonical_json", "digest", "uniform",
+    "canonical_json", "digest", "draws", "uniform",
     # the checker and its tables
     "Field", "Schema", "check", "require_valid", "GENERATOR_KEYS",
-    "FAULTS_TABLE", "LINT_TABLE", "LOAD_TABLE", "OVERLOAD_TABLE",
-    "TRACE_TABLE", "VERIFY_TABLE",
+    "FAULTS_TABLE", "LINT_TABLE", "LOAD_CURVE_TABLE", "LOAD_TABLE",
+    "OVERLOAD_TABLE", "TRACE_TABLE", "VERIFY_TABLE",
     # the five validators
     "validate_chrome_trace", "validate_faults_report", "validate_lint_report",
     "validate_load_report", "validate_verify_report",
@@ -63,6 +74,8 @@ GOLDEN = "repro-golden/1"
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _TWO_64 = float(1 << 64)
+_WORD = struct.Struct(">Q")
+_sha256 = hashlib.sha256
 
 
 def canonical_json(payload: Any) -> str:
@@ -75,15 +88,39 @@ def digest(payload: Any) -> str:
     return hashlib.sha256(_CANONICAL.encode(payload).encode()).hexdigest()
 
 
+def draws(seed: int, *prefix: Any) -> Callable[..., float]:
+    """The draw function of one stream: ``draws(seed, *prefix)(*rest)``.
+
+    A call returns ``uniform(seed, *prefix, *rest)`` bit for bit, but
+    the canonical-JSON head — the seed and the prefix parts — is
+    encoded once, when the stream is bound; each draw encodes only its
+    own key parts, with the escaping the canonical encoder uses.
+    """
+    head = "[" + _CANONICAL.encode(seed) + ",[" + "".join(
+        [_quote(repr(part)) + "," for part in prefix]
+    )
+    # A draw with no parts of its own: drop the prefix's last comma.
+    bare = ((head[:-1] if prefix else head) + "]]").encode()
+
+    def draw(*rest: Any) -> float:
+        payload = (
+            (head + ",".join(map(_quote, map(repr, rest))) + "]]").encode()
+            if rest else bare
+        )
+        word: int = _WORD.unpack_from(_sha256(payload).digest())[0]
+        return word / _TWO_64
+
+    return draw
+
+
 def uniform(seed: int, *key: Any) -> float:
     """A reproducible uniform draw in ``[0, 1)`` for ``(seed, key)``.
 
     The draw is the top 64 bits of the SHA-256 of
-    ``canonical_json([seed, [repr(part) for part in key]])``.
+    ``canonical_json([seed, [repr(part) for part in key]])``; it is
+    the stream :func:`draws` binds with an empty prefix.
     """
-    payload = _CANONICAL.encode([seed, [repr(part) for part in key]])
-    word = hashlib.sha256(payload.encode()).digest()[:8]
-    return int.from_bytes(word, "big") / _TWO_64
+    return draws(seed)(*key)
 
 
 # -- the checker -------------------------------------------------------------
@@ -437,6 +474,62 @@ LOAD_TABLE = Schema((
           "not a no-op, or with a deadline): the overload section",
           optional=True, schema=OVERLOAD_TABLE),
 ))
+
+# -- repro-load-curve/1 ------------------------------------------------------
+
+_CURVE_TALLIES = ("rejected", "evicted", "shed", "broken", "retried")
+
+
+def _point_percentiles_ordered(point: Dict[str, Any]) -> Optional[str]:
+    if point["completed"] > 0 and not (
+        point["p50_ns"] <= point["p99_ns"] <= point["p999_ns"]
+    ):
+        return "percentiles out of order"
+    return None
+
+
+def _points_follow_multipliers(payload: Dict[str, Any]) -> Optional[str]:
+    swept = [point["multiplier"] for point in payload["points"]]
+    if swept != payload["multipliers"]:
+        return "points do not follow the multipliers in order"
+    knee = payload["knee_multiplier"]
+    if knee is not None and knee not in swept:
+        return "knee_multiplier is not a swept multiplier"
+    return None
+
+
+LOAD_CURVE_TABLE = Schema((
+    Field("schema", doc="format tag", values=(LOAD_CURVE,)),
+    Field("profile", "obj", "the base workload (multiplier 1), replayable "
+          "verbatim", replay="repro.load.workload:LoadProfile"),
+    Field("seed", "int", "replay seed shared by every point", lo=0),
+    Field("duration_ns", "num", "simulated horizon of each point", lo=0,
+          lo_open=True),
+    Field("multipliers", "list", "the swept arrival-rate multipliers, "
+          "strictly increasing", lo=1, each=Field("", "real", lo=0,
+                                                  lo_open=True)),
+    Field("knee_factor", "real", "the p99 blow-up over the low-load "
+          "baseline that marks the knee", lo=1, lo_open=True),
+    Field("points", "list", "one run per multiplier, in multiplier order",
+          each=_of(Schema((
+              Field("multiplier", "real", "the rate multiplier of this run"),
+              Field("offered", "int", "requests generated", lo=0),
+              Field("completed", "int", "requests finished", lo=0),
+              Field("goodput_per_s", "num", "completed requests per "
+                    "simulated second", lo=0),
+              Field("p50_ns", "num", "nearest-rank median latency", lo=0),
+              Field("p99_ns", "num", "nearest-rank p99 latency", lo=0),
+              Field("p999_ns", "num", "nearest-rank p999 latency", lo=0),
+              Field("mean_ns", "num", "mean latency", lo=0),
+          ) + tuple(
+              Field(key, "int", "protected runs only: the overload "
+                    "section's total", lo=0, optional=True)
+              for key in _CURVE_TALLIES
+          ), closed=True, rules=(_point_percentiles_ordered,)))),
+    Field("knee_multiplier", "real", "the first multiplier whose p99 "
+          "exceeds knee_factor times the baseline, or null when the "
+          "curve never bends", nullable=True),
+), rules=(_points_follow_multipliers,))
 
 # -- Chrome Trace Event Format (python -m repro trace) -----------------------
 

@@ -15,10 +15,11 @@ the observability layer: phase spans still sum exactly to the
 transfer's end-to-end nanoseconds.
 
 The decision of whether attempt ``a`` of unit ``u`` fails is a pure
-hash of the fault plan's seed and the decision key
-(:meth:`~repro.faults.spec.FaultPlan.bernoulli`), so a recovery charge
-is a deterministic function of ``(plan, transfer identity)`` — the
-replay guarantee the property suite pins.
+hash of the fault plan's seed and the decision key — the same draw as
+:meth:`~repro.faults.spec.FaultPlan.bernoulli`, taken from one
+:func:`repro.contract.draws` stream per message key — so a recovery
+charge is a deterministic function of ``(plan, transfer identity)``,
+the replay guarantee the property suite pins.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple, TYPE_CHECKING
 
+from ..contract import draws
 from ..core.errors import FaultError, TransferAbortedError
 
 if TYPE_CHECKING:
@@ -175,14 +177,18 @@ def recovery_charge(
     else:
         units, unit_ns = max(1, fragments), fragment_ns
 
+    # Every decision of this message draws from one stream: the
+    # key is bound once, each draw adds (unit, attempt, kind).
+    draw = draws(plan.seed, *key)
     retry_ns = 0.0
     backoff_ns = 0.0
     retries = losses = corruptions = 0
     for unit in range(units):
         for attempt in range(policy.max_attempts):
-            lost = plan.bernoulli(loss, *key, unit, attempt, "loss")
-            corrupted = not lost and plan.bernoulli(
-                corrupt, *key, unit, attempt, "corrupt"
+            lost = loss > 0.0 and draw(unit, attempt, "loss") < loss
+            corrupted = (
+                not lost and corrupt > 0.0
+                and draw(unit, attempt, "corrupt") < corrupt
             )
             if not lost and not corrupted:
                 break

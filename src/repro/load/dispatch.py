@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Sequence
 
+from ..contract import draws
 from ..core.errors import ModelError
-from .workload import uniform
 
 __all__ = ["DispatchPolicy", "policy_by_name", "POLICIES"]
 
@@ -92,8 +92,12 @@ class Affinity(DispatchPolicy):
 
     name = "affinity"
 
+    def __init__(self, nodes: int, seed: int) -> None:
+        super().__init__(nodes, seed)
+        self._draw = draws(seed, "affinity")
+
     def pick(self, src, generator, client, template, backlog) -> int:
-        draw = uniform(self.seed, "affinity", generator, client, template)
+        draw = self._draw(generator, client, template)
         return self._skip_src(int(draw * self.nodes) % self.nodes, src)
 
 

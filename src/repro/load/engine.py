@@ -16,8 +16,9 @@ distinct request shape is priced once through
 
 Determinism is structural, not incidental:
 
-* all randomness is the pure-hash :func:`repro.load.workload.uniform`
-  of ``(seed, stream key)`` — no RNG state anywhere;
+* all randomness is drawn from keyed streams of
+  :func:`repro.contract.draws`, pure functions of ``(seed, stream
+  key)`` — no RNG state anywhere;
 * every event's heap key is content-derived —
   ``(time, kind, request identity, leg)`` where identity is the
   ``(generator, sequence)`` pair — so push order (and therefore
@@ -44,6 +45,8 @@ from ..contract import (
     LOAD_REPORT,
     canonical_json,
     digest,
+    draws,
+    uniform,
 )
 from ..core.errors import ModelError, TransferAbortedError
 from ..core.operations import OperationStyle
@@ -57,7 +60,7 @@ from .dispatch import policy_by_name
 from .latency import LatencyStore
 from .overload import OverloadSpec, admission_by_name
 from .queues import Station
-from .workload import LoadProfile, RequestTemplate, uniform
+from .workload import LoadProfile, RequestTemplate
 
 __all__ = ["LoadEngine", "LoadResult"]
 
@@ -69,6 +72,10 @@ _DONE, _ARRIVE, _ENQUEUE = 0, 1, 2
 
 #: Station legs a request walks, in order.
 _NIC, _DEPOSIT, _COPROC = "nic", "deposit", "coproc"
+
+#: A bound route: ``((station key, service ns), ...)``, transit delay,
+#: wire index.
+_Route = Tuple[Tuple[Tuple[Tuple[int, str], float], ...], float, int]
 
 
 class _Request:
@@ -195,6 +202,7 @@ class LoadEngine:
         self.runtime = CommRuntime(machine, rates=rates, faults=self.faults)
         self._patterns: Dict[str, AccessPattern] = {}
         self._prices: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
+        self._routes: Dict[Tuple[Any, ...], _Route] = {}
         self._homes: Dict[str, int] = {}
 
     def _home(self, generator: str) -> int:
@@ -206,8 +214,6 @@ class LoadEngine:
         """
         node = self._homes.get(generator)
         if node is None:
-            from .workload import uniform
-
             node = int(
                 uniform(self.seed, "home", generator) * self.profile.nodes
             ) % self.profile.nodes
@@ -307,7 +313,9 @@ class LoadEngine:
                     generate, [specs[i::workers] for i in range(workers)]
                 ))
         events = [event for shard in shards for event in shard]
-        events.sort(key=lambda event: event[:4])
+        # Identities are unique, so a plain tuple sort never compares
+        # past the identity to the payload.
+        events.sort()
         return events
 
     # -- the event loop ------------------------------------------------------
@@ -374,16 +382,18 @@ class LoadEngine:
         heap: List[Any] = self._open_arrivals(horizon_ns, workers)
         heapq.heapify(heap)
 
+        closed_streams = {
+            spec.name: spec.streams(self.seed)
+            for spec in profile.closed_loops
+        }
         for spec in profile.closed_loops:
+            __, pick = closed_streams[spec.name]
             for client in range(spec.clients):
                 heappush(heap, (
                     0.0, _ARRIVE, (spec.name, client, 0), 0,
-                    (
-                        spec.name, client, 0,
-                        spec.pick(self.seed, client, 0), 0,
-                    ),
+                    (spec.name, client, 0, pick(client, 0), 0),
                 ))
-        closed_by_name = {spec.name: spec for spec in profile.closed_loops}
+        jitter = draws(self.seed, "reject-backoff")
 
         tracer = current_tracer()
         latencies = LatencyStore()
@@ -445,18 +455,16 @@ class LoadEngine:
             or terminally dropped — so a rejected or shed request cannot
             silently kill its client and starve the loop.
             """
-            spec = closed_by_name.get(generator)
-            if spec is None:
+            streams = closed_streams.get(generator)
+            if streams is None:
                 return
+            think, pick = streams
             nxt = issue + 1
-            next_ns = now_ns + spec.think(self.seed, client, nxt)
+            next_ns = now_ns + think(client, nxt)
             if next_ns < horizon_ns:
                 heappush(heap, (
                     next_ns, _ARRIVE, (generator, client, nxt), 0,
-                    (
-                        generator, client, nxt,
-                        spec.pick(self.seed, client, nxt), 0,
-                    ),
+                    (generator, client, nxt, pick(client, nxt), 0),
                 ))
 
         def complete(now_ns: float, request: _Request) -> None:
@@ -501,9 +509,7 @@ class LoadEngine:
                 delay_ns = (
                     ospec.retry_backoff_ns
                     * (2.0 ** attempt)
-                    * (0.5 + uniform(
-                        self.seed, "reject-backoff", *base_identity, attempt
-                    ))
+                    * (0.5 + jitter(*base_identity, attempt))
                 )
                 heappush(heap, (
                     now_ns + delay_ns, _ARRIVE,
@@ -689,11 +695,21 @@ class LoadEngine:
 
     def _fill_route(
         self, template: RequestTemplate, src: int, dst: int
-    ) -> Tuple[Tuple[Tuple[Tuple[int, str], float], ...], float, int]:
-        """The priced route with station keys bound to (src, dst)."""
-        station_legs, transit_ns, wire_at = self._price(template, src, dst)
-        legs = tuple(
-            ((src if kind == _NIC else dst, kind), service_ns)
-            for kind, service_ns in station_legs
+    ) -> _Route:
+        """The priced route with station keys bound to (src, dst).
+
+        Bound once per (shape, src, dst) and kept for the engine's
+        life: the key is :meth:`_price`'s shape key plus the pair.
+        """
+        key = (
+            template.x, template.y, template.nbytes, template.style, src, dst,
         )
-        return legs, transit_ns, wire_at
+        route = self._routes.get(key)
+        if route is None:
+            station_legs, transit_ns, wire_at = self._price(template, src, dst)
+            legs = tuple(
+                ((src if kind == _NIC else dst, kind), service_ns)
+                for kind, service_ns in station_legs
+            )
+            route = self._routes[key] = (legs, transit_ns, wire_at)
+        return route

@@ -20,9 +20,9 @@ priced*, whether the system should take it at all:
 
 Every decision is content-derived: backlog and token state evolve only
 with simulated events, and the adaptive policy's probabilistic gate
-draws through the pure-hash :func:`repro.load.workload.uniform` — so a
-protected run replays bit-identically, like everything else in
-``repro.load``.
+draws from the pure-hash ``("admit",)`` stream of
+:func:`repro.contract.draws`, bound once per policy — so a protected
+run replays bit-identically, like everything else in ``repro.load``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
+from ..contract import draws
 from ..core.errors import LoadError
 
 __all__ = [
@@ -330,15 +331,12 @@ class AdaptiveAdmission(AdmissionPolicy):
         self._window: List[float] = []
         self._observed = 0
         self._adjustments = 0
+        self._gate = draws(seed, "admit")
 
     def admit(self, now_ns, nic_backlog, identity) -> bool:
         if self._fraction >= 1.0:
             return True
-        from .workload import uniform
-
-        return (
-            uniform(self.seed, "admit", *identity) < self._fraction
-        )
+        return self._gate(*identity) < self._fraction
 
     def observe(self, now_ns: float, latency_ns: float) -> None:
         window = self._window

@@ -12,21 +12,23 @@ A :class:`LoadProfile` says *who* sends *what* at the machine:
   simulated clients that each issue one request, wait for it to
   complete, think for ``think_ns``, and reissue.
 
-All randomness (arrival gaps, template picks) is drawn through the
-pure-hash :func:`repro.contract.uniform` — a function of
-``(seed, key)`` only, the draw :meth:`repro.faults.FaultPlan.uniform`
-makes too — so a profile
-replays bit-identically for a given seed no matter how generators are
-sharded across workers or interleaved in the event loop.
+All randomness (arrival gaps, think times, template picks) is drawn
+from keyed streams of :func:`repro.contract.draws` — pure functions of
+``(seed, key)``, the draw :meth:`repro.faults.FaultPlan.uniform` makes
+too — so a profile replays bit-identically for a given seed no matter
+how generators are sharded across workers or interleaved in the event
+loop.  A generator binds its streams once per run: the gaps to
+``("gap", name)``, the picks to ``("template", name)`` and the think
+times to ``("think", name)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from ..contract import uniform
+from ..contract import draws, uniform
 from ..core.errors import ModelError
 from .overload import OverloadSpec
 
@@ -41,10 +43,10 @@ __all__ = [
 ]
 
 
-def exponential(mean: float, seed: int, *key: Any) -> float:
-    """A reproducible exponential draw with the given mean."""
+def exponential(mean: float, draw: float) -> float:
+    """The exponential variate with the given mean at uniform ``draw``."""
     # 1 - u is in (0, 1], so the log never sees zero.
-    return -mean * math.log(1.0 - uniform(seed, *key))
+    return -mean * math.log(1.0 - draw)
 
 
 @dataclass(frozen=True)
@@ -105,12 +107,17 @@ class RequestTemplate:
 
 
 def _pick_template(
-    templates: Sequence[RequestTemplate], seed: int, *key: Any
+    templates: Sequence[RequestTemplate], pick: Callable[..., float],
+    *key: Any,
 ) -> RequestTemplate:
-    """Deterministically pick a template (uniform over the tuple)."""
+    """Deterministically pick a template (uniform over the tuple).
+
+    ``pick`` is the generator's ``("template", name)`` stream; a
+    single template is returned without a draw.
+    """
     if len(templates) == 1:
         return templates[0]
-    draw = uniform(seed, "template", *key)
+    draw = pick(*key)
     return templates[min(len(templates) - 1, int(draw * len(templates)))]
 
 
@@ -150,16 +157,17 @@ class OpenLoopSpec:
         workers pre-generate it.
         """
         mean_gap_ns = 1e9 / self.rate_per_s
+        gap = draws(seed, "gap", self.name)
+        pick = draws(seed, "template", self.name)
+        templates = self.templates
         time_ns = 0.0
         index = 0
         while True:
-            time_ns += exponential(mean_gap_ns, seed, "gap", self.name, index)
+            time_ns += exponential(mean_gap_ns, gap(index))
             if time_ns >= horizon_ns:
                 return
             for flight in range(self.burst):
-                yield time_ns, _pick_template(
-                    self.templates, seed, self.name, index, flight
-                )
+                yield time_ns, _pick_template(templates, pick, index, flight)
             index += 1
 
     def to_dict(self) -> Dict[str, Any]:
@@ -212,18 +220,30 @@ class ClosedLoopSpec:
         if not self.templates:
             raise ModelError(f"generator {self.name!r}: needs a template")
 
-    def think(self, seed: int, client: int, issue: int) -> float:
-        """The think gap before ``client``'s ``issue``-th request."""
-        if self.think_ns <= 0.0:
-            return 0.0
-        return exponential(
-            self.think_ns, seed, "think", self.name, client, issue
-        )
+    def streams(self, seed: int) -> Tuple[
+        Callable[[int, int], float], Callable[[int, int], RequestTemplate]
+    ]:
+        """``(think, pick)`` for one run, bound to ``seed``.
 
-    def pick(self, seed: int, client: int, issue: int) -> RequestTemplate:
-        return _pick_template(
-            self.templates, seed, self.name, client, issue
-        )
+        ``think(client, issue)`` is the gap before ``client``'s
+        ``issue``-th request (0 without think time); ``pick(client,
+        issue)`` is that request's template.
+        """
+        templates = self.templates
+        pick_draw = draws(seed, "template", self.name)
+
+        def pick(client: int, issue: int) -> RequestTemplate:
+            return _pick_template(templates, pick_draw, client, issue)
+
+        if self.think_ns <= 0.0:
+            return (lambda client, issue: 0.0), pick
+        think_ns = self.think_ns
+        think_draw = draws(seed, "think", self.name)
+
+        def think(client: int, issue: int) -> float:
+            return exponential(think_ns, think_draw(client, issue))
+
+        return think, pick
 
     def to_dict(self) -> Dict[str, Any]:
         return {

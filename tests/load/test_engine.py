@@ -1,9 +1,13 @@
 """The traffic engine: conservation, replay, faults, report shape."""
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
 from repro.core.errors import ModelError
 from repro.faults import FaultPlan
+from repro.faults.spec import LinkFault
 from repro.load import (
     ClosedLoopSpec,
     LoadEngine,
@@ -13,8 +17,16 @@ from repro.load import (
     profile_by_name,
     validate_load_report,
 )
+from repro.trace import tracing
 
 _HORIZON = 10_000_000.0  # 10 ms of simulated traffic
+
+#: Report digest of the seed-7 steady profile under ``FaultPlan.chaos(7)``
+#: over 20 ms: the digest inside the pinned ``load --chaos-seed 7``
+#: report of ``tests/load/test_pinned_reports.py``.
+_CHAOS_DIGEST = (
+    "4c5e6a5d7339714e0017e5d374f6494e8cfd9739f194ad111f4737eff40e37ec"
+)
 
 
 def _steady():
@@ -102,6 +114,74 @@ class TestFaults:
         payload = result.to_dict()
         assert payload["faults"] == plan.to_dict()
         assert validate_load_report(payload) == []
+
+
+def _shape(template):
+    return (template.x, template.y, template.nbytes, template.style)
+
+
+def _spy(engine, name, calls):
+    """Record the arguments of every call to one of ``engine``'s methods."""
+    method = getattr(engine, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return method(*args, **kwargs)
+
+    setattr(engine, name, spy)
+
+
+class TestRouteMemo:
+    def test_healthy_run_prices_each_shape_and_binds_each_route_once(self):
+        profile = _steady()
+        engine = LoadEngine(profile, seed=7)
+        transfers, priced = [], []
+        _spy(engine.runtime, "transfer", transfers)
+        _spy(engine, "_price", priced)
+        result = engine.run(_HORIZON)
+        shapes = {
+            _shape(template)
+            for spec in profile.generators for template in spec.templates
+        }
+        assert len(transfers) == len(shapes)
+        routes = Counter(
+            _shape(template) + (src, dst) for template, src, dst in priced
+        )
+        assert set(routes.values()) == {1}
+        assert sum(routes.values()) < result.offered
+
+    def test_pairs_with_different_link_derates_get_different_legs(self):
+        chaos = FaultPlan.chaos(7)
+        plan = dataclasses.replace(
+            chaos, links=chaos.links + (LinkFault(src=0, dst=1, derate=0.1),)
+        )
+        engine = LoadEngine(_steady(), seed=7, faults=plan)
+        topology = engine.runtime.machine.topology()
+        # 0 -> 2 crosses the derated 0 -> 1 link; 0 -> 3 does not, and
+        # neither destination is a slow node.
+        derated, clear = (
+            plan.route_derate(topology.route(0, dst)) for dst in (2, 3)
+        )
+        assert derated < clear
+        assert plan.node_slowdown(2) == plan.node_slowdown(3)
+        large = _steady().open_loops[0].templates[-1]
+
+        def service(route):
+            legs, transit_ns, __ = route
+            return [service_ns for __, service_ns in legs], transit_ns
+
+        near = engine._fill_route(large, 0, 2)
+        assert engine._fill_route(large, 0, 2) is near
+        assert service(near) != service(engine._fill_route(large, 0, 3))
+
+    def test_traced_chaos_run_matches_untraced_and_pinned_report(self):
+        horizon_ns = 20_000_000.0
+        plan = FaultPlan.chaos(7)
+        untraced = LoadEngine(_steady(), seed=7, faults=plan).run(horizon_ns)
+        with tracing():
+            traced = LoadEngine(_steady(), seed=7, faults=plan).run(horizon_ns)
+        assert traced.canonical_json() == untraced.canonical_json()
+        assert untraced.digest() == _CHAOS_DIGEST
 
 
 class TestBackpressure:

@@ -1,9 +1,9 @@
 """The report contract: validator parity corpus and emitted-payload checks.
 
-Every rejection site of the five report validators has one negative
-payload here, built by mutating a valid CLI payload; the test asserts
-the payload is rejected and that one message names the offending
-field path.  The other direction is checked too: every payload the
+Every rejection site of the report validators and the latency-curve
+table has one negative payload here, built by mutating a valid CLI
+payload; the test asserts the payload is rejected and that one message
+names the offending field path.  The other direction is checked too: every payload the
 CLI emits validates clean, on every registered machine.  The canonical
 JSON, digest and draw helpers are pinned to fixed values: every replay,
 digest and cache key depends on them.
@@ -20,13 +20,15 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.load
 from repro.__main__ import main
 from repro.analysis import validate_lint_report, validate_verify_report
 from repro.caching import content_key
 import repro.contract as contract
-from repro.contract import canonical_json, digest, uniform
+from repro.contract import canonical_json, digest, draws, uniform
 from repro.faults import FaultPlan, validate_faults_report
 from repro.load import PROFILES, validate_load_report
 from repro.machines.registry import MACHINE_FACTORIES
@@ -39,6 +41,9 @@ VALIDATORS = {
     "load": validate_load_report,
     "overload": validate_load_report,
     "trace": validate_chrome_trace,
+    "curve": lambda payload: contract.check(
+        payload, contract.LOAD_CURVE_TABLE
+    ),
 }
 
 _LOAD = ["load", "--seed", "7", "--duration", "0.005", "--json"]
@@ -79,6 +84,7 @@ def bases(tmp_path_factory):
         "faults": _emit(["faults", "--seed", "7", "--json"])[1],
         "load": _emit(_LOAD)[1],
         "overload": _emit(_LOAD + _PROTECTED)[1],
+        "curve": _emit(_LOAD + _PROTECTED + ["--latency-curve", "0.5,1,2"])[1],
         "trace": _emit(
             ["trace", "--machine", "t3d", "--out", str(trace_path)],
             trace_path,
@@ -368,6 +374,28 @@ CORPUS = [
         ("results[0]", "diagnostics[0]", "span"),
     ),
     ("verify", _set(["ok"], True), ("ok",)),
+    # -- repro-load-curve/1 ------------------------------------------
+    ("curve", lambda p: [], ()),
+    ("curve", _set(["schema"], "bogus"), ("schema",)),
+    ("curve", _set(["profile"], "steady"), ("profile",)),
+    ("curve", _set(["seed"], -1), ("seed",)),
+    ("curve", _set(["duration_ns"], 0.0), ("duration_ns",)),
+    ("curve", _set(["multipliers"], []), ("multipliers",)),
+    ("curve", _set(["multipliers", 0], 0.0), ("multipliers[0]",)),
+    ("curve", _set(["knee_factor"], 1.0), ("knee_factor",)),
+    ("curve", _set(["points"], 3), ("points",)),
+    ("curve", _set(["points", 0, "extra"], 1), ("points[0]", "unknown")),
+    ("curve", _set(["points", 0, "offered"], -1), ("points[0]", "offered")),
+    ("curve", _set(["points", 0, "rejected"], "x"),
+     ("points[0]", "rejected")),
+    (
+        "curve",
+        lambda p: p["points"][0].update(p50_ns=p["points"][0]["p999_ns"] + 1),
+        ("points[0]", "percentiles"),
+    ),
+    ("curve", _set(["multipliers"], [0.5, 1.0, 4.0]), ("multipliers",)),
+    ("curve", _set(["knee_multiplier"], 3.0), ("knee_multiplier",)),
+    ("curve", _set(["knee_multiplier"], "2x"), ("knee_multiplier",)),
     # -- Chrome trace ----------------------------------------------------
     ("trace", lambda p: [], ()),
     ("trace", _set(["traceEvents"], ...), ("traceEvents",)),
@@ -415,7 +443,7 @@ def _case_id(case):
 
 class TestParityCorpus:
     def test_one_case_per_rejection_site(self):
-        assert len(CORPUS) == 105
+        assert len(CORPUS) == 121
 
     def test_bases_validate_clean(self, bases):
         for kind, validator in VALIDATORS.items():
@@ -527,6 +555,65 @@ class TestUniform:
         assert uniform(7, *key) == int.from_bytes(raw[:8], "big") / 2.0**64
 
 
+_REFERENCE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _reference_uniform(seed, *key):
+    """The draw as first written: a full canonical-JSON encode per draw."""
+    payload = _REFERENCE_ENCODER.encode([seed, [repr(part) for part in key]])
+    word = hashlib.sha256(payload.encode()).digest()[:8]
+    return int.from_bytes(word, "big") / float(1 << 64)
+
+
+_AWKWARD_TEXT = st.text(alphabet=st.one_of(
+    st.characters(exclude_categories=()),  # lone surrogates included
+    st.sampled_from(
+        ['"', "'", "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028",
+         "\ud800", "\udfff", "\U0001f600"]
+    ),
+), max_size=8)
+
+_KEY_ATOMS = st.one_of(
+    st.integers(min_value=-(1 << 80), max_value=1 << 80),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([
+        float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, -1e-310,
+    ]),
+    _AWKWARD_TEXT,
+)
+
+_KEY_PARTS = st.recursive(
+    _KEY_ATOMS,
+    lambda children: st.lists(children, max_size=3).map(tuple),
+    max_leaves=6,
+)
+
+
+class TestDrawStreams:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.one_of(
+            st.integers(min_value=-(1 << 70), max_value=1 << 70),
+            st.booleans(),
+        ),
+        key=st.lists(_KEY_PARTS, max_size=5).map(tuple),
+    )
+    def test_every_split_draws_the_reference_bits(self, seed, key):
+        expected = _reference_uniform(seed, *key)
+        assert uniform(seed, *key) == expected
+        for split in range(len(key) + 1):
+            stream = draws(seed, *key[:split])
+            assert stream(*key[split:]) == expected
+
+    def test_a_stream_is_reusable(self):
+        gap = draws(7, "gap", "poisson")
+        assert [gap(i) for i in range(3)] == [
+            _reference_uniform(7, "gap", "poisson", i) for i in range(3)
+        ]
+
+
 _ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -543,6 +630,7 @@ class TestDocsDrift:
         ("LOAD_TABLE", "docs/LOAD.md", "## The report schema"),
         ("OVERLOAD_TABLE", "docs/LOAD.md", "## The report schema"),
         ("FAULTS_TABLE", "docs/FAULTS.md", "### The report"),
+        ("LOAD_CURVE_TABLE", "docs/LOAD.md", "### The latency curve"),
     ])
     def test_docs_name_every_top_level_field(self, table, page, heading):
         section = _section(page, heading)
