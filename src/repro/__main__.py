@@ -691,6 +691,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         shuffle_seed=args.shuffle_seed,
         preflight_verify=args.verify,
     )
+    payload = result.to_dict()
+    contract.require_valid(payload, contract.SWEEP_RESULT_TABLE, "sweep result")
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(result.canonical_json())
@@ -701,8 +703,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # The canonical payload only: identical bytes for any worker
         # count, shard size or completion order.  Run facts (workers,
         # wall seconds) are nondeterministic and go to stderr instead.
-        payload = dict(result.to_dict())
-        payload["digest"] = result.digest()
+        payload = dict(payload, digest=result.digest())
         print(json_module.dumps(payload, indent=2, sort_keys=True))
         verified = result.stats.get("preflight_verified")
         preflight = (
@@ -788,6 +789,7 @@ def _cmd_faults_sweep(args, machine, x, y, style) -> int:
         "nominal": {"mbps": nominal["mbps"], "ns": nominal["ns"]},
         "seeds": rows,
     }
+    contract.require_valid(payload, contract.FAULTS_SWEEP_TABLE, "faults sweep")
     if args.json:
         print(json_module.dumps(payload, indent=2))
         return EXIT_OK

@@ -18,7 +18,7 @@ replayed, and that rests on one set of decisions made here:
   its stream once instead of re-encoding the whole key every draw;
 * the ten schema tags, one constant each;
 * a small declarative checker (:class:`Field`, :class:`Schema`,
-  :func:`check`) and the schema tables of the six validated formats.
+  :func:`check`) and the schema tables of the eight validated formats.
   A table's per-field ``doc`` strings are that format's documentation.
 
 This is the only module that imports :mod:`hashlib`
@@ -50,8 +50,9 @@ __all__ = [
     "canonical_json", "digest", "draws", "uniform",
     # the checker and its tables
     "Field", "Schema", "check", "require_valid", "GENERATOR_KEYS",
-    "FAULTS_TABLE", "LINT_TABLE", "LOAD_CURVE_TABLE", "LOAD_TABLE",
-    "OVERLOAD_TABLE", "TRACE_TABLE", "VERIFY_TABLE",
+    "FAULTS_SWEEP_TABLE", "FAULTS_TABLE", "LINT_TABLE", "LOAD_CURVE_TABLE",
+    "LOAD_TABLE", "OVERLOAD_TABLE", "SWEEP_RESULT_TABLE", "TRACE_TABLE",
+    "VERIFY_TABLE",
     # the five validators
     "validate_chrome_trace", "validate_faults_report", "validate_lint_report",
     "validate_load_report", "validate_verify_report",
@@ -376,6 +377,15 @@ def _run(name: str, doc: str, *extra: Field) -> Field:
     ) + extra))
 
 
+#: A :class:`~repro.faults.degrade.DegradedResult`: a forced fallback.
+_DEGRADED = Schema((
+    Field("fault", "str"),
+    Field("requested", "str"),
+    Field("fallback", "str"),
+    Field("nominal_mbps", "num"),
+    Field("degraded_mbps", "num"),
+))
+
 FAULTS_TABLE = Schema((
     Field("schema", doc="format tag", values=(FAULTS_REPORT,)),
     Field("machine", "str", "machine name", lo=1),
@@ -391,19 +401,90 @@ FAULTS_TABLE = Schema((
         Field("retries", "int", "fragments re-sent", lo=0, optional=True),
         Field("fallback", "obj", "the DegradedResult of a forced "
               "strategy fallback", optional=True, nullable=True,
-              schema=Schema((
-                  Field("fault", "str"),
-                  Field("requested", "str"),
-                  Field("fallback", "str"),
-                  Field("nominal_mbps", "num"),
-                  Field("degraded_mbps", "num"),
-              ))),
+              schema=_DEGRADED),
     ),
     Field("delta", "obj", "throughput lost to the faults",
           schema=Schema((Field("throughput_pct"),))),
     Field("counters", "obj", "the degraded run's fault-related trace "
           "counters", optional=True, nullable=True),
 ))
+
+# -- repro-faults-sweep/1 -----------------------------------------------------
+
+FAULTS_SWEEP_TABLE = Schema((
+    Field("schema", doc="format tag", values=(FAULTS_SWEEP,)),
+    Field("machine", "str", "machine name", lo=1),
+    Field("operation", "str", "the xQy operation", lo=1),
+    Field("style", "str", "operation style", lo=1),
+    Field("nbytes", "int", "bytes per transfer", lo=0, lo_open=True),
+    Field("nominal", "obj", "the fault-free run", schema=Schema((
+        Field("mbps", "num", "throughput", lo=0, lo_open=True),
+        Field("ns", "num", "end-to-end time", lo=0, lo_open=True),
+    ), closed=True)),
+    Field("seeds", "list", "one run per chaos seed, in --seeds order",
+          lo=1, each=_of(Schema((
+              Field("seed", "int", "the chaos plan's seed"),
+              Field("mbps", "num", "throughput under the plan", lo=0,
+                    lo_open=True),
+              Field("ns", "num", "end-to-end time", lo=0, lo_open=True),
+              Field("retries", "int", "fragments re-sent", lo=0),
+              Field("fallback", "obj", "the DegradedResult of a forced "
+                    "strategy fallback, or null", nullable=True,
+                    schema=_DEGRADED),
+              Field("delta", "obj", "throughput lost to the plan",
+                    schema=Schema((Field("throughput_pct", "num"),),
+                                  closed=True)),
+          ), closed=True))),
+), closed=True)
+
+# -- repro-sweep-result/1 ------------------------------------------------------
+
+
+def _rows_follow_cells(payload: Dict[str, Any]) -> Optional[str]:
+    from .sweep.spec import SweepSpec
+
+    cells = SweepSpec.from_dict(payload["spec"]).expand()
+    if [row["id"] for row in payload["results"]] != [
+        cell.cell_id for cell in cells
+    ]:
+        return "results do not follow the spec's cells in order"
+    return None
+
+
+SWEEP_RESULT_TABLE = Schema((
+    Field("schema", doc="format tag", values=(SWEEP_RESULT,)),
+    Field("spec", "obj", "the swept grid, replayable verbatim",
+          replay="repro.sweep.spec:SweepSpec"),
+    Field("results", "list", "one row per cell, in the spec's canonical "
+          "cell order", each=_of(Schema((
+              Field("id", "str", "the cell id", lo=1),
+              Field("mbps", "num", "measured throughput (collectives: per "
+                    "node)", lo=0),
+              Field("ns", "num", "end-to-end time (transfer and "
+                    "collective cells)", lo=0, optional=True),
+              Field("model_mbps", "num", "the model's estimate (transfer "
+                    "cells)", lo=0, optional=True),
+              Field("style", "str", "operation style run (transfer cells)",
+                    optional=True),
+              Field("retries", "int", "fragments re-sent (transfer cells)",
+                    lo=0, optional=True),
+              Field("degraded", "obj", "the DegradedResult of a forced "
+                    "fallback (transfer cells under a plan)", optional=True,
+                    schema=_DEGRADED),
+              Field("op", "str", "the collective (collective cells)",
+                    optional=True),
+              Field("algorithm", "str", "the algorithm run (collective "
+                    "cells)", optional=True),
+              Field("nodes", "int", "participants (collective cells)",
+                    lo=1, optional=True),
+              Field("rounds", "int", "communication rounds (collective "
+                    "cells)", lo=0, optional=True),
+              Field("hierarchical", "bool", "node-aware schedule "
+                    "(collective cells)", optional=True),
+          ), closed=True))),
+    Field("digest", "str", "SHA-256 of the payload without this field; "
+          "sweep --json only", lo=64, optional=True),
+), closed=True, rules=(_rows_follow_cells,))
 
 # -- repro-load-report/1 and its repro-load-overload/1 section ---------------
 

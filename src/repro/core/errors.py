@@ -51,6 +51,8 @@ class TransferAbortedError(FaultError):
     higher layers — notably the load engine's circuit breakers — can
     attribute the abort to a specific (src, dst) link without parsing
     the message.  Anonymous transfers leave both as ``None``.
+    ``ledger`` holds the transfer's ledger rows as far as it got, so a
+    caller that memoizes the abort can replay its trace on a repeat.
     """
 
     def __init__(
@@ -58,10 +60,12 @@ class TransferAbortedError(FaultError):
         message: str,
         src: "int | None" = None,
         dst: "int | None" = None,
+        ledger: tuple = (),
     ) -> None:
         super().__init__(message)
         self.src = src
         self.dst = dst
+        self.ledger = ledger
 
 
 class LoadError(ModelError):

@@ -41,9 +41,9 @@ class FaultyTopology(Topology):
         merged = self._avoid if avoid is None else self._avoid | set(avoid)
         return super().route(src, dst, avoid=merged)
 
-    def link_weight(self, link: Link) -> float:
+    def dim_weight(self, dim: int) -> float:
         # Anisotropic bases (GeminiTorus) keep their capacities under faults.
-        return self.base.link_weight(link)
+        return self.base.dim_weight(dim)
 
     def effective_load(self, link: Link, load: float) -> float:
         """Flow count scaled by the link's remaining healthy capacity."""
@@ -52,7 +52,12 @@ class FaultyTopology(Topology):
         return weighted / derate if derate < 1.0 else weighted
 
     def max_link_congestion(self, flows: Iterable[Flow]) -> float:
-        """Worst derate-weighted link load (the degraded congestion)."""
+        """Worst derate-weighted link load (the degraded congestion).
+
+        Routed hop by hop: a detour around a failed link is not one arc
+        per dimension ring, so the healthy grid's interval count does
+        not apply.
+        """
         loads = self.link_loads(flows)
         if not loads:
             return 0

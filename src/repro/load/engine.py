@@ -53,7 +53,7 @@ from ..core.operations import OperationStyle
 from ..core.patterns import AccessPattern
 from ..faults.spec import FaultPlan
 from ..machines.registry import MACHINE_FACTORIES
-from ..runtime.engine import CommRuntime
+from ..runtime.engine import CommRuntime, _emit
 from ..trace.tracer import current_tracer
 from .breaker import BreakerBoard
 from .dispatch import policy_by_name
@@ -202,6 +202,8 @@ class LoadEngine:
         self.runtime = CommRuntime(machine, rates=rates, faults=self.faults)
         self._patterns: Dict[str, AccessPattern] = {}
         self._prices: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
+        #: Shape key -> the ``TransferAbortedError`` arguments of its abort.
+        self._aborts: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
         self._routes: Dict[Tuple[Any, ...], _Route] = {}
         self._homes: Dict[str, int] = {}
 
@@ -239,6 +241,12 @@ class LoadEngine:
         wire index is the leg before which the transit delay is paid —
         the first receiver-side station (or one past the last leg when
         the route is sender-only).
+
+        An abort is as pure a function of the key as a price, so it is
+        memoized too: a repeat raises a fresh
+        :class:`~repro.core.errors.TransferAbortedError` and, when
+        traced, replays the aborted transfer's ledger rows, exactly as
+        re-running the transfer would.
         """
         key: Tuple[Any, ...] = (
             template.x, template.y, template.nbytes, template.style,
@@ -248,15 +256,26 @@ class LoadEngine:
         cached = self._prices.get(key)
         if cached is not None:
             return cached  # type: ignore[return-value]
-        sample = self.runtime.transfer(
-            self._pattern(template.x),
-            self._pattern(template.y),
-            template.nbytes,
-            style=OperationStyle(template.style),
-            congestion=self.profile.congestion,
-            src=src if self.faults is not None else None,
-            dst=dst if self.faults is not None else None,
-        )
+        aborted = self._aborts.get(key)
+        if aborted is not None:
+            message, abort_src, abort_dst, ledger = aborted
+            tracer = current_tracer()
+            if tracer is not None:
+                _emit(tracer, ledger)
+            raise TransferAbortedError(message, abort_src, abort_dst, ledger)
+        try:
+            sample = self.runtime.transfer(
+                self._pattern(template.x),
+                self._pattern(template.y),
+                template.nbytes,
+                style=OperationStyle(template.style),
+                congestion=self.profile.congestion,
+                src=src if self.faults is not None else None,
+                dst=dst if self.faults is not None else None,
+            )
+        except TransferAbortedError as exc:
+            self._aborts[key] = (str(exc), exc.src, exc.dst, exc.ledger)
+            raise
         busy = dict(sample.resource_busy_ns)
         nic_ns = busy.get("sender_cpu", 0.0) + busy.get("sender_dma", 0.0)
         deposit_ns = busy.get("receiver_deposit", 0.0)

@@ -94,6 +94,9 @@ class Machine:
     published_network: Dict[str, Dict[int, float]] = field(default_factory=dict)
     quirks: RuntimeQuirks = field(default_factory=RuntimeQuirks)
     index_run: int = 2
+    _topologies: Dict[int, Topology] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- simulators ----------------------------------------------------------
 
@@ -111,7 +114,19 @@ class Machine:
         )
 
     def topology(self, n_nodes: int = 64) -> Topology:
-        return self.topology_factory(n_nodes)
+        """The interconnect of an ``n_nodes`` partition.
+
+        Built once per size and kept on this machine: collectives ask
+        for the same partition step after step.  A copy made by
+        :meth:`with_overrides` starts with no topologies, so a replaced
+        ``topology_factory`` takes effect.
+        """
+        topology = self._topologies.get(n_nodes)
+        if topology is None:
+            topology = self._topologies[n_nodes] = self.topology_factory(
+                n_nodes
+            )
+        return topology
 
     def network_model(self, n_nodes: int = 64) -> NetworkModel:
         """The bandwidth model attached to a partition's topology."""

@@ -9,20 +9,25 @@ Wraparound is a *per-dimension* property: a classic torus wraps every
 dimension, a mesh none, and modern machines mix — a Cray XE/Gemini
 partition is typically a torus in X and Z but may be left open in Y,
 and its Y links carry half the bandwidth of X/Z ones
-(:class:`GeminiTorus`).  :meth:`Topology.link_weight` exposes the
-per-link relative capacity so congestion accounting can weight loads;
-the base grid keeps every link at weight one.
+(:class:`GeminiTorus`).  :meth:`Topology.dim_weight` exposes the
+relative capacity of each dimension's links so congestion accounting
+can weight loads; the base grid keeps every link at weight one.
 
 A *flow* is a (source, destination) node pair; :meth:`Topology.link_loads`
 routes a set of flows and counts how many cross each directed link,
 from which the paper's *congestion* figure — how much more data the
 worst link carries than it can support at peak speed — follows.
+:meth:`Topology.max_link_congestion` computes that figure without
+routing: a dimension-order route crosses one contiguous arc of each
+dimension ring it moves along, so the worst link is the most-covered
+position of a per-ring interval count.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Dict,
     FrozenSet,
@@ -33,6 +38,8 @@ from typing import (
     Tuple,
     Union,
 )
+
+import numpy as np
 
 from ..core.errors import FaultError
 
@@ -224,8 +231,8 @@ class Topology:
         path.reverse()
         return path
 
-    def link_weight(self, link: Link) -> float:
-        """Relative capacity of one link (1.0 = a full-speed link).
+    def dim_weight(self, dim: int) -> float:
+        """Relative capacity of every link along ``dim`` (1.0 = full speed).
 
         Anisotropic interconnects override this; congestion accounting
         divides a link's flow count by its weight, so a half-capacity
@@ -233,6 +240,10 @@ class Topology:
         ``2 L``.
         """
         return 1.0
+
+    def link_weight(self, link: Link) -> float:
+        """Relative capacity of one link: its dimension's weight."""
+        return self.dim_weight(link.dim)
 
     def routing_key(self) -> Tuple:
         """Hashable token identifying this topology's routing behaviour.
@@ -254,33 +265,70 @@ class Topology:
         return loads
 
     def max_link_congestion(self, flows: Iterable[Flow]) -> float:
-        """The worst weighted link load (the paper's congestion figure)."""
-        loads = self.link_loads(flows)
-        if not loads:
+        """The worst weighted link load (the paper's congestion figure).
+
+        Equal, in value and type, to the worst ``load / link_weight``
+        over :meth:`link_loads`, but counted without routing a flow.
+        Along dimension ``k`` a dimension-order route moves on the ring
+        whose other coordinates are the destination's below ``k`` and
+        the source's above it, covering one arc in the direction
+        :meth:`_steps` picks.  A link is named by the ring position it
+        leaves, so each (ring, direction) row counts arcs with an
+        integer difference array: ``+1`` where the arc starts, ``-1``
+        where it ends, and a ``+1`` at position 0 for an arc that wraps
+        past the end of the ring.  Returns int ``0`` when no flow
+        leaves its node.
+        """
+        pairs = np.fromiter(
+            chain.from_iterable(flows), dtype=np.int64
+        ).reshape(-1, 2)
+        src, dst = pairs[:, 0], pairs[:, 1]
+        moving = src != dst
+        if not moving.any():
             return 0
-        return max(
-            load / self.link_weight(link) for link, load in loads.items()
+        n_nodes = self.n_nodes
+        outside = moving & (
+            (src < 0) | (src >= n_nodes) | (dst < 0) | (dst >= n_nodes)
         )
+        if outside.any():
+            first = pairs[np.flatnonzero(outside)[0]]
+            node = first[0] if not 0 <= first[0] < n_nodes else first[1]
+            raise ValueError(f"node {node} out of range 0..{n_nodes - 1}")
+        worst = 0.0
+        stride = n_nodes
+        for dim, size in enumerate(self.dims):
+            stride //= size
+            if size == 1:
+                continue
+            start = src // stride % size
+            goal = dst // stride % size
+            ring = dst // (stride * size) * stride + src % stride
+            if self.wrap[dim]:
+                positive = (goal - start) % size <= (start - goal) % size
+            else:
+                positive = goal > start
+            # The arc's first and one-past-last link, by leaving position;
+            # a flow that stays put on this ring gets an empty arc.
+            low = np.where(positive, start, goal + 1)
+            high = np.where(positive, goal, start + 1)
+            # One row per (ring, direction), the positive one first.
+            width = size + 1
+            row = (2 * ring + ~positive) * width
+            cells = 2 * (n_nodes // size) * width
+            marks = np.bincount(
+                np.concatenate((row + low, row[low > high])), minlength=cells
+            ) - np.bincount(row + high, minlength=cells)
+            load = int(marks.reshape(-1, width)[:, :size].cumsum(axis=1).max())
+            worst = max(worst, load / self.dim_weight(dim))
+        return worst
 
     def all_links(self) -> List[Link]:
-        links = []
-        for node in range(self.n_nodes):
-            coord = self.coordinates(node)
-            for dim, size in enumerate(self.dims):
-                wrap = self.wrap[dim]
-                for positive in (True, False):
-                    step = 1 if positive else -1
-                    neighbour = coord[dim] + step
-                    if wrap:
-                        neighbour %= size
-                    elif not 0 <= neighbour < size:
-                        continue
-                    if size == 1 or (wrap and size == 2 and not positive):
-                        # Avoid double-counting the single wrap link.
-                        continue
-                    to_coord = coord[:dim] + (neighbour,) + coord[dim + 1 :]
-                    links.append(Link(node, self.node_id(to_coord), dim, positive))
-        return links
+        """Every directed link, node by node in :meth:`neighbour_links` order."""
+        return [
+            link
+            for node in range(self.n_nodes)
+            for link in self.neighbour_links(node)
+        ]
 
 
 class Mesh(Topology):
@@ -310,7 +358,7 @@ class GeminiTorus(Topology):
     only one in Y, so a Y link sustains roughly half the bandwidth of
     an X or Z link; dense patterns congest on the Y dimension first.
     ``dim_capacity`` carries those relative capacities and
-    :meth:`link_weight` feeds them into the (weighted) congestion
+    :meth:`dim_weight` feeds them into the (weighted) congestion
     accounting.  Wraparound is per dimension: full partitions close the
     torus everywhere, but small or oddly-cabled ones may leave a
     dimension open (``wrap=(True, False, True)``).
@@ -338,8 +386,8 @@ class GeminiTorus(Topology):
             raise ValueError(f"dim_capacity must be positive, got {capacity}")
         self.dim_capacity = capacity
 
-    def link_weight(self, link: Link) -> float:
-        return self.dim_capacity[link.dim]
+    def dim_weight(self, dim: int) -> float:
+        return self.dim_capacity[dim]
 
     def routing_key(self) -> Tuple:
         return ("gemini", self.dim_capacity, self.wrap)

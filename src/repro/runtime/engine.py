@@ -722,9 +722,11 @@ class CommRuntime:
             except TransferAbortedError as exc:
                 # Signal the abort with its endpoints so link-level
                 # consumers (the load engine's circuit breakers) can
-                # attribute it without parsing the message.
+                # attribute it without parsing the message, and with
+                # its rows so a memoized abort traces as a re-run.
                 exc.src, exc.dst = src, dst
                 ledger.count("faults.aborts")
+                exc.ledger = tuple(ledger)
                 raise
             if recovery:
                 retries = recovery.retries

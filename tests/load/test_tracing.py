@@ -7,6 +7,8 @@ every traced counter must equal the total the report states.
 """
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -20,7 +22,8 @@ from repro.load import (
     RequestTemplate,
     profile_by_name,
 )
-from repro.trace import tracing
+from repro.runtime.engine import CommRuntime
+from repro.trace import chrome_trace, tracing
 
 #: The open-loop profile of the speed benchmark (``bench_speed.py``).
 _BENCH = LoadProfile(
@@ -133,3 +136,56 @@ class TestAbortedRun:
         completed = tracer.metrics.counter("load.completed")
         assert completed > 0
         assert tracer.metrics.histogram("load.latency_ns").count == completed
+
+
+#: A protected run whose fault plan aborts most routes: the seed-7
+#: steady profile behind a bounded queue, with 97 % fragment loss.
+_ABORTING_PLAN = FaultPlan(seed=1, fragments=(FragmentFault(loss=0.97),))
+
+#: SHA-256 of its report JSON and of its trace (Chrome trace plus the
+#: counter samples).
+_ABORTING_PINS = (
+    "b2a9933f4b2ae14d5a192935fdefedb8a005ef85a02e468783d7ff4e71bc9b71",
+    "d49a29fb8664d877362a80942aedb4de0c91d4a2de33bcc85183852f59e6b89f",
+)
+
+
+class TestMemoizedAborts:
+    """An aborted route is simulated once; repeats replay its trace."""
+
+    @pytest.fixture
+    def aborting(self, monkeypatch):
+        transfers = []
+        transfer = CommRuntime.transfer
+
+        def counted(runtime, *args, **kwargs):
+            transfers.append(kwargs.get("src"))
+            return transfer(runtime, *args, **kwargs)
+
+        monkeypatch.setattr(CommRuntime, "transfer", counted)
+        profile = dataclasses.replace(
+            profile_by_name("steady"),
+            overload=OverloadSpec(admission="bounded-queue"),
+        )
+        engine = LoadEngine(profile, seed=7, faults=_ABORTING_PLAN)
+        with tracing() as tracer:
+            result = engine.run(20_000_000.0)
+        return engine, result, tracer, transfers
+
+    def test_report_and_trace_are_pinned(self, aborting):
+        __, result, tracer, __ = aborting
+        samples = [(c.name, c.value, c.at_ns) for c in tracer.counters()]
+        trace = json.dumps([chrome_trace(tracer), samples], sort_keys=True)
+        assert (
+            hashlib.sha256(result.canonical_json().encode()).hexdigest(),
+            hashlib.sha256(trace.encode()).hexdigest(),
+        ) == _ABORTING_PINS
+
+    def test_each_route_is_simulated_once(self, aborting):
+        engine, result, tracer, transfers = aborting
+        broken = result.to_dict()["overload"]["totals"]["broken"]
+        # Every broken arrival still traces its abort ...
+        assert tracer.metrics.counter("faults.aborts") == broken == 62
+        # ... but only the first on each route runs the transfer.
+        assert len(engine._aborts) == 11 and len(engine._prices) == 3
+        assert len(transfers) == 14

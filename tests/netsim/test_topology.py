@@ -1,8 +1,11 @@
 """Tests for topologies and routing (repro.netsim.topology)."""
 
+import itertools
+
 import pytest
 
-from repro.netsim.topology import Mesh, Torus
+from repro.machines import MACHINE_FACTORIES
+from repro.netsim.topology import GeminiTorus, Link, Mesh, Topology, Torus
 
 
 class TestCoordinates:
@@ -108,3 +111,45 @@ class TestLinkLoads:
         links = mesh.all_links()
         # 2x2 mesh: 4 undirected edges -> 8 directed links.
         assert len(links) == 8
+
+
+def _all_links_reference(topology):
+    """The node-by-node link walk ``all_links`` used to spell out itself."""
+    links = []
+    for node in range(topology.n_nodes):
+        coord = topology.coordinates(node)
+        for dim, size in enumerate(topology.dims):
+            wrap = topology.wrap[dim]
+            for positive in (True, False):
+                step = 1 if positive else -1
+                neighbour = coord[dim] + step
+                if wrap:
+                    neighbour %= size
+                elif not 0 <= neighbour < size:
+                    continue
+                if size == 1 or (wrap and size == 2 and not positive):
+                    continue
+                to_coord = coord[:dim] + (neighbour,) + coord[dim + 1:]
+                links.append(
+                    Link(node, topology.node_id(to_coord), dim, positive)
+                )
+    return links
+
+
+class TestAllLinks:
+    """``all_links`` lists the same links, in the same order, as the walk
+    it replaced: every node's ``neighbour_links`` in node order."""
+
+    @pytest.mark.parametrize("key", sorted(MACHINE_FACTORIES))
+    @pytest.mark.parametrize("n_nodes", [1, 2, 8, 12, 16, 64])
+    def test_machine_topologies(self, key, n_nodes):
+        topology = MACHINE_FACTORIES[key]().topology(n_nodes)
+        assert topology.all_links() == _all_links_reference(topology)
+
+    @pytest.mark.parametrize("dims", [(1, 3), (2, 3), (4, 2, 1), (3, 2, 5)])
+    def test_mixed_wrap_flags(self, dims):
+        for wrap in itertools.product((False, True), repeat=len(dims)):
+            for topology in (Topology(dims, wrap), GeminiTorus(
+                *dims, dim_capacity=(1.0,) * len(dims), wrap=wrap
+            )):
+                assert topology.all_links() == _all_links_reference(topology)

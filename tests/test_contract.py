@@ -32,6 +32,7 @@ from repro.contract import canonical_json, digest, draws, uniform
 from repro.faults import FaultPlan, validate_faults_report
 from repro.load import PROFILES, validate_load_report
 from repro.machines.registry import MACHINE_FACTORIES
+from repro.sweep import SweepSpec
 from repro.trace import validate_chrome_trace
 
 VALIDATORS = {
@@ -499,6 +500,111 @@ class TestEmittedPayloadsValidate:
         assert payload is None or validate_faults_report(payload) == []
 
 
+    def test_faults_sweep(self, machine):
+        __, payload = _emit(
+            ["faults", "--json", "--machine", machine, "--seeds", "7", "9"]
+        )
+        assert payload is None or contract.check(
+            payload, contract.FAULTS_SWEEP_TABLE
+        ) == []
+
+
+def _sweep_spec(tmp_path, **fields):
+    path = tmp_path / f"{fields['kind']}.json"
+    path.write_text(json.dumps(SweepSpec(**fields).to_dict()))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def sweep_bases(tmp_path_factory):
+    """A valid faults sweep and transfer / collective sweep results."""
+    tmp_path = tmp_path_factory.mktemp("sweeps")
+    transfer = _sweep_spec(
+        tmp_path, kind="transfer", machines=("t3d", "cluster"),
+        pairs=(("1", "64"),), styles=("chained",), sizes=(65536,),
+        seeds=(-1, 7), rates="paper",
+    )
+    collective = _sweep_spec(
+        tmp_path, kind="collective", machines=("xe",),
+        ops=("allreduce",), styles=("auto", "ring"), sizes=(4096,),
+        nodes=(8,), seeds=(-1, 7), rates="paper",
+    )
+    return {
+        "faults-sweep": _emit(["faults", "--json", "--seeds", "7", "9"])[1],
+        "transfer": _emit(["sweep", "--spec", transfer, "--json"])[1],
+        "collective": _emit(["sweep", "--spec", collective, "--json"])[1],
+    }
+
+
+def _swap_first_rows(payload):
+    rows = payload["results"]
+    rows[0], rows[1] = rows[1], rows[0]
+
+
+class TestSweepTables:
+    """``repro-faults-sweep/1`` and ``repro-sweep-result/1`` payloads
+    validate clean as emitted, and a broken one is rejected naming the
+    field."""
+
+    TABLES = {
+        "faults-sweep": contract.FAULTS_SWEEP_TABLE,
+        "transfer": contract.SWEEP_RESULT_TABLE,
+        "collective": contract.SWEEP_RESULT_TABLE,
+    }
+
+    def test_bases_validate_clean(self, sweep_bases):
+        for kind, table in self.TABLES.items():
+            assert contract.check(sweep_bases[kind], table) == [], kind
+        # The seeded runs exercise the fallback and degraded sections.
+        assert any(
+            row["fallback"] for row in sweep_bases["faults-sweep"]["seeds"]
+        )
+        assert any(
+            "degraded" in row for row in sweep_bases["transfer"]["results"]
+        )
+
+    @pytest.mark.parametrize("kind, mutation, fragments", [
+        ("faults-sweep", _set(["schema"], "repro-faults-report/1"),
+         ("schema",)),
+        ("faults-sweep", _set(["seeds"], []), ("seeds", "length")),
+        ("faults-sweep", _set(["nominal", "mbps"], 0.0), ("nominal.mbps",)),
+        ("faults-sweep", _set(["seeds", 0, "retries"], -1),
+         ("seeds[0].retries", "negative")),
+        ("faults-sweep", _set(["seeds", 0, "extra"], 1),
+         ("seeds[0]", "unknown keys")),
+        ("faults-sweep", _set(["seeds", 0, "fallback"], "chained"),
+         ("seeds[0].fallback",)),
+        ("faults-sweep", _set(["seeds", 0, "delta"], {}),
+         ("seeds[0].delta.throughput_pct", "missing")),
+        ("transfer", _set(["schema"], "repro-sweep/1"), ("schema",)),
+        ("transfer", _set(["spec", "kind"], "teleport"),
+         ("spec", "not replayable")),
+        ("transfer", _swap_first_rows, ("do not follow",)),
+        ("transfer", _set(["results", 0, "mbps"], -1.0),
+         ("results[0].mbps", "negative")),
+        ("transfer", _set(["results", 0, "gbps"], 1.0),
+         ("results[0]", "unknown keys")),
+        ("transfer", _set(["results", 0, "id"], ...),
+         ("results[0].id", "missing")),
+        ("transfer", _set(["digest"], "abc"), ("digest", "length")),
+        ("collective", _set(["results", 0, "nodes"], 0),
+         ("results[0].nodes",)),
+        ("collective", _set(["results", 0, "hierarchical"], "no"),
+         ("results[0].hierarchical",)),
+    ], ids=lambda case: case if isinstance(case, str) else None)
+    def test_rejected_naming_the_field(
+        self, sweep_bases, kind, mutation, fragments
+    ):
+        payload = copy.deepcopy(sweep_bases[kind])
+        mutation(payload)
+        errors = contract.check(payload, self.TABLES[kind])
+        assert errors, "mutated payload validated clean"
+        assert any(
+            all(fragment in error for fragment in fragments)
+            for error in errors
+        ), errors
+
+
 @pytest.mark.parametrize("protected", [False, True])
 @pytest.mark.parametrize("profile", sorted(PROFILES))
 def test_load_profiles_validate(profile, protected):
@@ -631,6 +737,8 @@ class TestDocsDrift:
         ("OVERLOAD_TABLE", "docs/LOAD.md", "## The report schema"),
         ("FAULTS_TABLE", "docs/FAULTS.md", "### The report"),
         ("LOAD_CURVE_TABLE", "docs/LOAD.md", "### The latency curve"),
+        ("FAULTS_SWEEP_TABLE", "docs/FAULTS.md", "### The seed sweep"),
+        ("SWEEP_RESULT_TABLE", "docs/SWEEPS.md", "## The result schema"),
     ])
     def test_docs_name_every_top_level_field(self, table, page, heading):
         section = _section(page, heading)
