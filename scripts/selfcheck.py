@@ -37,6 +37,12 @@ under ``src/repro/``:
   only by ``repro/contract.py``.  Everything else hashes through
   ``digest``, ``content_key`` or a ``draws`` stream, so no second
   encoding of a replayed value can drift from the canonical one.
+* **SC008** — the runtime and the compiler keep no process-global
+  memo: no module under ``runtime/`` or ``compiler/`` binds an empty
+  ``{}``, ``[]``, ``set()``, ``dict()`` or ``list()`` at module level,
+  or uses ``functools.cache`` / ``lru_cache``.  Their memos (the
+  runtime's transfers and flow facts) live on instances, so a fresh
+  runtime is a cold one and nothing survives a reset.
 
 Exit status: 0 when clean, 1 when any violation is found.
 """
@@ -57,6 +63,11 @@ MUTABLE_CALLS = ("list", "dict", "set")
 CONTRACT = PACKAGE_ROOT / "contract.py"
 
 SCHEMA_TAG = re.compile(r"repro-[a-z]+(?:-[a-z]+)*/[0-9]+")
+
+#: Packages whose memos must live on instances (SC008), and the
+#: ``functools`` decorators that would make one process-global.
+MEMO_FREE = (PACKAGE_ROOT / "runtime", PACKAGE_ROOT / "compiler")
+PROCESS_CACHES = ("cache", "lru_cache")
 
 TRACER_READ = "current_tracer"
 #: Modules whose tracer reads are confined, and the one function (as a
@@ -304,6 +315,64 @@ def check_hashlib_imports(path: Path, tree: ast.Module) -> Iterator[str]:
             )
 
 
+def module_statements(body: List[ast.stmt]) -> Iterator[ast.stmt]:
+    """Statements that run at import, through ``if`` / ``try`` / ``with``."""
+    for statement in body:
+        yield statement
+        if isinstance(statement, (ast.If, ast.Try, ast.With)):
+            for block in ("body", "orelse", "finalbody"):
+                yield from module_statements(getattr(statement, block, []))
+            for handler in getattr(statement, "handlers", []):
+                yield from module_statements(handler.body)
+
+
+def is_empty_container(value: ast.expr) -> bool:
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if isinstance(value, ast.List):
+        return not value.elts
+    return (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Name)
+        and value.func.id in MUTABLE_CALLS
+        and not value.args
+        and not value.keywords
+    )
+
+
+def check_process_memos(path: Path, tree: ast.Module) -> Iterator[str]:
+    if not any(root in path.parents for root in MEMO_FREE):
+        return
+    rel = path.relative_to(REPO_ROOT)
+    for statement in module_statements(tree.body):
+        if (
+            isinstance(statement, (ast.Assign, ast.AnnAssign))
+            and statement.value is not None
+            and is_empty_container(statement.value)
+        ):
+            yield (
+                f"SC008 {rel}:{statement.lineno}: module-level empty "
+                f"container {ast.unparse(statement.value)}; keep memos on "
+                "the instance that owns them"
+            )
+    for node in ast.walk(tree):
+        cached = (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "functools"
+            and any(alias.name in PROCESS_CACHES for alias in node.names)
+        ) or (
+            isinstance(node, ast.Attribute)
+            and node.attr in PROCESS_CACHES
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        )
+        if cached:
+            yield (
+                f"SC008 {rel}:{node.lineno}: functools cache; keep memos "
+                "on the instance that owns them"
+            )
+
+
 def check_verifier_examples() -> Iterator[str]:
     """SC004: run the verify passes over the repo's own example plans."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -354,6 +423,7 @@ def main() -> int:
         violations.extend(check_schema_tag_literals(path, tree))
         violations.extend(check_tracer_reads(path, tree))
         violations.extend(check_hashlib_imports(path, tree))
+        violations.extend(check_process_memos(path, tree))
     violations.extend(check_error_docstrings(modules))
     violations.extend(check_verifier_examples())
     for violation in violations:

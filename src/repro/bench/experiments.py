@@ -247,7 +247,9 @@ def collective_table(machine_key: str) -> Dict[str, Dict[str, float]]:
             for algorithm in algorithms:
                 run = run_collective(runtime, op, algorithm, nodes, nbytes)
                 entry[f"{algorithm} {nbytes}B ns"] = run.total_ns
-            advice = choose_algorithm(op, machine, nbytes, nodes)
+            advice = choose_algorithm(
+                op, machine, nbytes, nodes, runtime=runtime
+            )
             entry[f"auto {nbytes}B pick"] = float(
                 algorithms.index(advice.algorithm)
             )

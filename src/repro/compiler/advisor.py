@@ -15,7 +15,7 @@ parallel system".  This module turns that guidance into code:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..core.errors import ModelError
 from ..core.model import CopyTransferModel, StyleChoice
@@ -24,6 +24,9 @@ from ..faults.degrade import DegradedResult
 from ..faults.spec import FaultPlan, current_fault_plan
 from ..machines.base import Machine
 from .commgen import CommOp, CommPlan, transpose_2d
+
+if TYPE_CHECKING:
+    from ..runtime.engine import CommRuntime
 
 __all__ = [
     "CollectiveAdvice",
@@ -228,6 +231,7 @@ def choose_algorithm(
     machine: Machine,
     nbytes: int,
     nodes: int,
+    runtime: Optional[CommRuntime] = None,
 ) -> CollectiveAdvice:
     """Pick the cheapest collective algorithm for a (machine, size) regime.
 
@@ -242,6 +246,11 @@ def choose_algorithm(
 
     On cluster machines each candidate runs hierarchy-aware when that
     beats the flat schedule, and the advice records which won.
+
+    ``runtime`` is a paper-rate :class:`~repro.runtime.engine.CommRuntime`
+    on ``machine`` to price on (a fresh one by default).  A caller that
+    goes on to run the pick on the same runtime finds every round of it
+    already priced.
     """
     from ..runtime.collectives import ALGORITHMS, run_collective
     from ..runtime.engine import CommRuntime
@@ -250,7 +259,13 @@ def choose_algorithm(
         raise ModelError(
             f"unknown collective {op!r}; choose from {sorted(ALGORITHMS)}"
         )
-    runtime = CommRuntime(machine, rates="paper")
+    if runtime is None:
+        runtime = CommRuntime(machine, rates="paper")
+    elif runtime.machine is not machine:
+        raise ValueError(
+            f"the runtime runs on another machine object "
+            f"({runtime.machine.name}) than the one advised ({machine.name})"
+        )
     timings: Dict[str, float] = {}
     layouts: Dict[str, bool] = {}
     for algorithm in ALGORITHMS[op]:

@@ -191,14 +191,22 @@ class CommunicationStep:
         price identically (fault draws are keyed on the sample flow's
         endpoints, not on call order), so a collective prices each
         distinct signature once.
+
+        Everything but the payload is a fact of the flow pattern, kept
+        on the runtime: a pattern priced at several payloads, or in
+        several collectives, is scanned once.
         """
-        congestion = self._congestion(plan)
-        messages = self._messages_per_node()
-        src: Optional[int] = None
-        dst: Optional[int] = None
-        if plan is not None:
-            src, dst = self._sample_flow(plan)
-        return (self.bytes_per_flow, congestion, messages, src, dst)
+        key = (tuple(self.flows), plan, self.scheduled, self.schedule_slack)
+        facts = self.runtime._flow_facts.get(key)
+        if facts is None:
+            src: Optional[int] = None
+            dst: Optional[int] = None
+            if plan is not None:
+                src, dst = self._sample_flow(plan)
+            facts = self.runtime._flow_facts[key] = (
+                self._congestion(plan), self._messages_per_node(), src, dst,
+            )
+        return (self.bytes_per_flow,) + facts
 
     def price(self, style: OperationStyle, signature: Signature) -> StepResult:
         """Measure the sample transfer and cost the step from it."""

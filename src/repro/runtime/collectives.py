@@ -6,7 +6,7 @@ are just sequences of such steps.  Each algorithm here lowers to a
 tuple of :class:`CollectiveRound` objects (a flow pattern plus a
 per-flow payload), every round is priced as a
 :class:`~repro.runtime.collective.CommunicationStep` (each distinct
-round once per call), and the collective's cost is the sum of its
+round once per runtime), and the collective's cost is the sum of its
 rounds — which is exactly why the
 model-driven selector (:func:`repro.compiler.advisor.choose_algorithm`)
 can rank algorithms per (machine, size) regime the way PAPERS.md
@@ -267,7 +267,9 @@ def run_collective(
     # fault plan and tracer are fixed, so a round's price depends only
     # on its step's signature: each distinct round is signed once, each
     # distinct signature priced once, and a repeat replays the priced
-    # round (its trace included).  The memo dies with the call.
+    # round (its trace included).  The memo dies with the call; the
+    # flow facts and transfers behind a price are kept on the runtime,
+    # so a later call prices a round it has seen without re-running it.
     plan: Optional[FaultPlan] = None
     signatures: Dict[CollectiveRound, Signature] = {}
     priced: Dict[Signature, Tuple[CommunicationStep, StepResult]] = {}

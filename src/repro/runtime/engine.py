@@ -232,8 +232,9 @@ class _Ledger(List[_Row]):
 def _emit(tracer: Tracer, ledger: Sequence[_Row]) -> None:
     """Write a transfer's ledger to ``tracer``: the runtime's only tracing.
 
-    A collective's round memo replays a kept ledger
-    (:attr:`MeasuredTransfer.ledger`) through it as well.
+    A hit in the runtime's transfer memo and a collective's round memo
+    replay a kept ledger (:attr:`MeasuredTransfer.ledger`) through it
+    as well.
 
     Metric rows become counter increments and histogram observations.
     A pipeline phase writes its chunk rows first, as ``phase:stage``
@@ -285,6 +286,14 @@ class CommRuntime:
             every transfer this runtime executes.  When ``None``, the
             context-installed plan (:func:`repro.faults.injecting`)
             applies, if any.
+
+    A runtime prices each distinct transfer once: :meth:`transfer`
+    keeps its results, and
+    :meth:`~repro.runtime.collective.CommunicationStep.signature` keeps
+    each step pattern's flow facts here.  Both memos are pure functions
+    of their keys, given the machine, library and table the runtime was
+    built with, and die with the runtime, so a fresh runtime is a cold
+    one.
     """
 
     def __init__(
@@ -318,6 +327,10 @@ class CommRuntime:
             if congestion is not None
             else machine.network.default_congestion
         )
+        self._transfers: Dict[Tuple, MeasuredTransfer] = {}
+        self._flow_facts: Dict[
+            Tuple, Tuple[float, int, Optional[int], Optional[int]]
+        ] = {}
 
     # -- rate lookups -----------------------------------------------------
 
@@ -585,6 +598,13 @@ class CommRuntime:
 
         With a tracer installed the transfer's ledger is emitted once
         it is complete, or as far as it got when the transfer aborts.
+
+        A completed transfer is kept, keyed on every input after the
+        defaults resolve, and a repeat returns the kept result,
+        re-emitting its ledger when traced.  Whether a tracer is
+        installed is part of the key: an untraced ledger has no chunk
+        rows to replay.  An aborted transfer is never kept, so it
+        raises (and traces its abort) on every call.
         """
         if congestion is None:
             congestion = self.default_congestion
@@ -600,15 +620,29 @@ class CommRuntime:
             if plan is not None and plan.is_empty():
                 plan = None
         tracer = current_tracer()
+        record = tracer is not None
+        # The congestion's type is keyed too: 2 == 2.0, but the result
+        # carries the congestion as given.
+        key = (
+            x, y, nbytes, style, congestion, type(congestion), duplex,
+            analyze, plan, src, dst, record,
+        )
+        kept = self._transfers.get(key)
+        if kept is not None:
+            if tracer is not None:
+                _emit(tracer, kept.ledger)
+            return kept
         ledger = _Ledger()
         try:
-            return self._execute(
+            result = self._execute(
                 x, y, nbytes, style, congestion, duplex, analyze, plan,
-                src, dst, ledger, tracer is not None,
+                src, dst, ledger, record,
             )
         finally:
             if tracer is not None:
                 _emit(tracer, ledger)
+        self._transfers[key] = result
+        return result
 
     def _execute(
         self,

@@ -5,7 +5,9 @@ per-cell loop is **batching**: cells of one shard (and of later shards
 the same process picks up) share a worker-local memo of machines,
 calibration tables, runtimes and node harnesses, so the expensive
 shared work — deriving a machine's simulated calibration table — is
-paid once per process instead of once per cell.  A memo holding a
+paid once per process instead of once per cell.  A runtime keeps the
+transfers and step patterns it has priced, so the collective selector
+prices on the paper-rate runtime its cells then run on.  A memo holding a
 simulated table is keyed on the memsim engine selection, as the
 calibration cache (:mod:`repro.caching`) is; through the cache's disk
 layer each distinct table is simulated at most once per cache-cold run.
@@ -229,7 +231,10 @@ def _run_collective_cell(cell: SweepCell) -> Dict[str, Any]:
     if cell.style == "auto":
         from ..compiler.advisor import choose_algorithm
 
-        advice = choose_algorithm(cell.op, machine, cell.size, cell.nodes)
+        advice = choose_algorithm(
+            cell.op, machine, cell.size, cell.nodes,
+            runtime=_runtime(cell.machine, "chained", "paper"),
+        )
         algorithm = advice.algorithm
     else:
         algorithm = cell.style

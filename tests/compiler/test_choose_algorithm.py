@@ -12,6 +12,7 @@ from repro.compiler.advisor import choose_algorithm
 from repro.core.errors import ModelError
 from repro.machines.registry import MACHINE_FACTORIES
 from repro.runtime.collectives import ALGORITHMS, COLLECTIVE_OPS
+from repro.runtime.engine import CommRuntime
 
 SMALL = 1024
 LARGE = 1 << 22
@@ -66,3 +67,24 @@ class TestCrossover:
     def test_unknown_op_rejected(self):
         with pytest.raises(ModelError):
             choose_algorithm("reduce", _machine("t3d"), SMALL, NODES)
+
+
+class TestGivenRuntime:
+    """Pricing on a caller's runtime changes no advice."""
+
+    @pytest.mark.parametrize("key", sorted(MACHINE_FACTORIES))
+    def test_matches_a_fresh_runtime(self, key):
+        machine = _machine(key)
+        runtime = CommRuntime(machine, rates="paper")
+        for op in COLLECTIVE_OPS:
+            for nbytes in (SMALL, LARGE):
+                assert choose_algorithm(
+                    op, machine, nbytes, NODES, runtime=runtime
+                ) == choose_algorithm(op, machine, nbytes, NODES)
+
+    def test_runtime_on_another_machine_rejected(self):
+        runtime = CommRuntime(_machine("xe"), rates="paper")
+        with pytest.raises(ValueError, match="another machine"):
+            choose_algorithm(
+                "broadcast", _machine("t3d"), SMALL, NODES, runtime=runtime
+            )

@@ -1,7 +1,9 @@
 """Collective operations: round lowering, execution, hierarchy."""
 
+import json
 import math
 import re
+from contextlib import nullcontext
 
 import pytest
 
@@ -11,7 +13,7 @@ from repro.core.errors import (
     TransferAbortedError,
 )
 from repro.core.patterns import AccessPattern
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, injecting
 from repro.machines import MACHINE_FACTORIES, cluster, machine_by_key, t3d, xe
 from repro.runtime.collective import CommunicationStep
 from repro.runtime.collectives import (
@@ -21,6 +23,7 @@ from repro.runtime.collectives import (
     run_collective,
 )
 from repro.runtime.engine import CommRuntime
+from repro.trace import chrome_trace, tracing
 
 
 def _runtime(factory):
@@ -146,11 +149,14 @@ class TestRunCollective:
 
 
 def _unmemoized(runtime, op, algorithm, nodes, nbytes):
-    """Every round run as its own step."""
+    """Every round run as its own step, each on a fresh runtime."""
     one = AccessPattern.parse("1")
     return tuple(
         CommunicationStep(
-            runtime, current.flows, one, one, current.bytes_per_flow
+            CommRuntime(
+                runtime.machine, faults=runtime.faults, table=runtime.table
+            ),
+            current.flows, one, one, current.bytes_per_flow,
         ).run()
         for current in collective_rounds(op, algorithm, nodes, nbytes)
     )
@@ -211,3 +217,78 @@ class TestRoundMemo:
         result = run_collective(_runtime(xe), "allreduce", "ring", 64, 65536)
         assert len(result.rounds) == 2 * 63
         assert len(calls) == 1
+
+
+class TestRuntimeMemo:
+    """A runtime prices each distinct step once, across collectives."""
+
+    def test_cold_collective_sweep_prices_each_step_once(self, monkeypatch):
+        from repro.sweep import collectives_spec, run_sweep
+        from repro.sweep.worker import reset_memos
+
+        calls = {"execute": 0, "congestion": 0}
+        execute = CommRuntime._execute
+        congestion = CommunicationStep._congestion
+
+        def counted_execute(self, *args, **kwargs):
+            calls["execute"] += 1
+            return execute(self, *args, **kwargs)
+
+        def counted_congestion(self, *args, **kwargs):
+            calls["congestion"] += 1
+            return congestion(self, *args, **kwargs)
+
+        monkeypatch.setattr(CommRuntime, "_execute", counted_execute)
+        monkeypatch.setattr(
+            CommunicationStep, "_congestion", counted_congestion
+        )
+        reset_memos()
+        run_sweep(collectives_spec(nodes=(64,)))
+        # 148 distinct flow patterns per runtime, 30 distinct transfers.
+        assert calls == {"execute": 30, "congestion": 148}
+
+    @pytest.mark.parametrize("key", ["t3d", "xe", "cluster"])
+    def test_one_runtime_prices_every_collective_as_fresh(self, key):
+        """Every algorithm in turn, nominal, under a plan and nominal
+        again: the kept flow facts and transfers never leak across
+        patterns of one size or across plans."""
+        machine = machine_by_key(key)
+        shared = CommRuntime(machine, table=machine.paper_table())
+
+        def price(runtime, op, algorithm, plan):
+            try:
+                with injecting(plan) if plan else nullcontext():
+                    return run_collective(runtime, op, algorithm, 8, 65536)
+            except (CompositionError, TransferAbortedError) as exc:
+                return type(exc), str(exc)
+
+        for plan in (None, FaultPlan.chaos(7), None):
+            for op, algorithms in ALGORITHMS.items():
+                for algorithm in algorithms:
+                    fresh = CommRuntime(machine, table=machine.paper_table())
+                    assert price(shared, op, algorithm, plan) == price(
+                        fresh, op, algorithm, plan
+                    )
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_traced_collectives_in_a_row_trace_as_fresh(self, seed):
+        def traced(runtime, op, algorithm):
+            with tracing() as tracer:
+                run_collective(runtime, op, algorithm, 8, 65536)
+            samples = [(c.name, c.value, c.at_ns) for c in tracer.counters()]
+            return json.dumps(
+                [chrome_trace(tracer), samples], sort_keys=True
+            )
+
+        def runtime():
+            machine = machine_by_key("xe")
+            plan = FaultPlan.chaos(seed) if seed is not None else None
+            return CommRuntime(
+                machine, faults=plan, table=machine.paper_table()
+            )
+
+        shared = runtime()
+        for op, algorithm in (("allreduce", "ring"), ("broadcast", "ring")):
+            assert traced(shared, op, algorithm) == traced(
+                runtime(), op, algorithm
+            )
