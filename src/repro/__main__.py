@@ -318,8 +318,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     with tracing() as tracer:
         # Built inside the traced region so calibration-cache and
-        # memory-simulator counters land in the trace too.
+        # memory-simulator counters land in the trace too; a simulated
+        # table measures its whole grid here, not only what this run
+        # reads.
         runtime = CommRuntime(machine, rates=args.rates)
+        runtime.table.to_dict()
         if args.step is not None and args.step in ALGORITHMS:
             from .runtime.collectives import run_collective
 
@@ -975,9 +978,10 @@ def cmd_calibrate(args: argparse.Namespace) -> None:
             nwords=args.words,
             use_cache=not args.no_cache,
         )
+        entries = table.to_dict()
         elapsed = time.perf_counter() - started
         print(f"{table.name}  ({elapsed * 1e3:.0f} ms)")
-        for key, rate in sorted(table.to_dict().items()):
+        for key, rate in sorted(entries.items()):
             print(f"  {key:8} {rate:7.1f} MB/s")
         if args.json:
             path = args.json if len(names) == 1 else f"{name}-{args.json}"

@@ -1,7 +1,9 @@
 """Calibration result caching.
 
-Deriving a calibration table runs dozens of 32 Ki-word kernel
-simulations, so the library caches tables at two levels:
+Each entry of a simulated calibration table is a 32 Ki-word kernel
+simulation, run the first time a read needs it (see
+:func:`~repro.machines.measure.measure_table`), so the library caches
+tables at two levels:
 
 * an **in-process LRU** keyed by a content hash of everything the
   measurement depends on — the full :class:`~repro.memsim.config.NodeConfig`,
@@ -9,8 +11,12 @@ simulations, so the library caches tables at two levels:
   engine selection, and the engine semantic versions;
 * an optional **on-disk layer** under ``.repro-cache/`` (override with
   the ``REPRO_CACHE_DIR`` environment variable) holding one JSON table
-  per key, so repeat benchmark runs in fresh processes skip simulation
-  entirely.
+  per key.  A table is written when it is made and rewritten
+  (:meth:`CalibrationCache.publish`) each time it measures new
+  entries, so a file holds the entries read so far and repeat runs in
+  fresh processes simulate only what no earlier run read.  Concurrent
+  writers replace the file whole; a lost update costs a
+  re-measurement, never a wrong value.
 
 Invalidation is by key construction, never by mtime: any change to the
 node parameters or to the engines' semantic versions
@@ -174,7 +180,15 @@ class CalibrationCache:
             return
         self._trace("store")
         self._remember(key, table)
-        if not self.use_disk:
+        self.publish(key, table)
+
+    def publish(self, key: str, table: ThroughputTable) -> None:
+        """Rewrite ``key``'s disk file with the entries ``table`` holds.
+
+        Measures nothing: a deferred table's unread entries stay out of
+        the file.
+        """
+        if _caching_disabled() or not self.use_disk:
             return
         path = self._path(key)
         try:
@@ -185,7 +199,9 @@ class CalibrationCache:
                 dir=str(path.parent), suffix=".tmp"
             )
             with os.fdopen(fd, "w") as handle:
-                json.dump(table_to_dict(table), handle, sort_keys=True)
+                json.dump(
+                    table_to_dict(table, measure=False), handle, sort_keys=True
+                )
             os.replace(tmp, path)
         except OSError:
             # A read-only or full filesystem degrades to the in-memory

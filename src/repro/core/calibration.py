@@ -19,13 +19,16 @@ such a set of figures and answers lookups for arbitrary transfers:
 Tables are plain data.  They can be authored from the paper's published
 numbers (:mod:`repro.machines`) or derived by running the simulators in
 :mod:`repro.memsim` / :mod:`repro.netsim` through the measurement
-harness (:mod:`repro.machines.measure`).
+harness (:mod:`repro.machines.measure`).  A measured table is
+*deferred* (:meth:`ThroughputTable.defer`): it knows its grid and
+measures each entry the first time a read needs it, as Section 4
+measures only the basic transfers a composition names.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .errors import CalibrationError
 from .patterns import AccessPattern, PatternKind
@@ -79,8 +82,71 @@ class ThroughputTable:
     def __init__(self, name: str = "unnamed") -> None:
         self.name = name
         self._entries: Dict[EntryKey, float] = {}
+        # A deferred table's grid, the grid keys not measured yet, and
+        # what measures them (see ``defer``).
+        self._grid: Tuple[EntryKey, ...] = ()
+        self._pending: Dict[EntryKey, None] = {}
+        self._measure: Optional[Callable[[EntryKey], float]] = None
+        self._measured: Optional[Callable[["ThroughputTable"], None]] = None
 
     # -- population --------------------------------------------------------
+
+    def defer(
+        self,
+        grid: Iterable[EntryKey],
+        measure: Callable[[EntryKey], float],
+        measured: Optional[Callable[["ThroughputTable"], None]] = None,
+    ) -> None:
+        """Measure every ``grid`` key not stored yet on first read.
+
+        ``measure(key)`` returns one entry's rate; it must be a pure
+        function of the key, so a table read in any order holds what
+        measuring the whole grid up front would.  ``measured(table)``,
+        when given, runs after each read that stored new entries.
+        ``has`` and ``len`` answer from the grid; exact reads measure
+        their key, stride interpolation the series it scans, and
+        ``to_dict``, iteration and ``merge`` every entry.
+        """
+        self._grid = tuple(grid)
+        self._pending = dict.fromkeys(
+            key for key in self._grid if key not in self._entries
+        )
+        self._measure = measure
+        self._measured = measured
+        self._fill(())
+
+    @property
+    def deferred(self) -> bool:
+        """Whether :meth:`defer` bound a measurer to this table."""
+        return self._measure is not None
+
+    def _store(self, key: EntryKey, mbps: float) -> None:
+        if not (isinstance(mbps, (int, float)) and math.isfinite(mbps) and mbps > 0):
+            raise CalibrationError(
+                f"throughput must be a positive finite number, got {mbps!r}"
+            )
+        self._entries[key] = float(mbps)
+        self._pending.pop(key, None)
+
+    def _fill(self, keys: Iterable[EntryKey]) -> None:
+        """Measure the pending keys among ``keys``.
+
+        Once nothing is pending, the grid entries are moved ahead of
+        the rest in grid order, as measuring up front stores them:
+        ``to_dict`` folds every network key into its letter, so a later
+        ``set`` of another network key must still come after the grid's.
+        """
+        wanted = [key for key in keys if key in self._pending]
+        if wanted:
+            assert self._measure is not None  # only defer() makes keys pending
+            for key in wanted:
+                self._store(key, self._measure(key))
+        if not self._pending and self._grid:
+            grid = {key: self._entries[key] for key in self._grid}
+            self._entries = {**grid, **self._entries}
+            self._grid = ()
+        if wanted and self._measured is not None:
+            self._measured(self)
 
     def set(
         self,
@@ -90,11 +156,7 @@ class ThroughputTable:
         mbps: float,
     ) -> None:
         """Record the throughput of one basic transfer."""
-        if not (isinstance(mbps, (int, float)) and math.isfinite(mbps) and mbps > 0):
-            raise CalibrationError(
-                f"throughput must be a positive finite number, got {mbps!r}"
-            )
-        self._entries[(kind, _parse_key(read), _parse_key(write))] = float(mbps)
+        self._store((kind, _parse_key(read), _parse_key(write)), mbps)
 
     def set_transfer(self, transfer: BasicTransfer, mbps: float) -> None:
         """Record the throughput keyed by an existing transfer object."""
@@ -102,16 +164,20 @@ class ThroughputTable:
 
     def merge(self, other: "ThroughputTable", overwrite: bool = True) -> None:
         """Copy entries from ``other`` into this table."""
+        other._fill(other._pending)
+        if not overwrite:
+            self._fill(other._entries)
         for key, value in other._entries.items():
             if overwrite or key not in self._entries:
-                self._entries[key] = value
+                self._store(key, value)
 
     # -- introspection -------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries) + len(self._pending)
 
     def __iter__(self) -> Iterator[Tuple[EntryKey, float]]:
+        self._fill(self._pending)
         return iter(sorted(self._entries.items(), key=lambda item: repr(item[0])))
 
     def has(
@@ -120,7 +186,8 @@ class ThroughputTable:
         read: Union[PatternKey, AccessPattern],
         write: Union[PatternKey, AccessPattern],
     ) -> bool:
-        return (kind, _parse_key(read), _parse_key(write)) in self._entries
+        key = (kind, _parse_key(read), _parse_key(write))
+        return key in self._entries or key in self._pending
 
     def get(
         self,
@@ -129,10 +196,18 @@ class ThroughputTable:
         write: Union[PatternKey, AccessPattern],
     ) -> Optional[float]:
         """Exact-entry fetch; ``None`` when absent (no interpolation)."""
-        return self._entries.get((kind, _parse_key(read), _parse_key(write)))
+        key = (kind, _parse_key(read), _parse_key(write))
+        self._fill((key,))
+        return self._entries.get(key)
 
-    def to_dict(self) -> Dict[str, float]:
-        """Serialize to ``{"1C64": 67.9, ...}`` style keys."""
+    def to_dict(self, measure: bool = True) -> Dict[str, float]:
+        """Serialize to ``{"1C64": 67.9, ...}`` style keys.
+
+        ``measure=False`` lists only the entries stored so far, so a
+        deferred table can be saved without measuring the rest.
+        """
+        if measure:
+            self._fill(self._pending)
         result = {}
         for (kind, read, write), value in self._entries.items():
             if kind.is_network:
@@ -160,7 +235,10 @@ class ThroughputTable:
     ) -> float:
         rkey = pattern_key(read)
         wkey = pattern_key(write)
-        exact = self._entries.get((kind, rkey, wkey))
+        key = (kind, rkey, wkey)
+        if key in self._pending:
+            self._fill((key,))
+        exact = self._entries.get(key)
         if exact is not None:
             return exact
 
@@ -182,17 +260,22 @@ class ThroughputTable:
         self, kind: TransferKind, side: str, other: PatternKey
     ) -> List[Tuple[int, float]]:
         """All (stride, rate) anchors on one side, plus contiguous as stride 1."""
-        points: List[Tuple[int, float]] = []
-        for (entry_kind, rkey, wkey), rate in self._entries.items():
-            if entry_kind is not kind:
-                continue
+
+        def anchor(key: EntryKey) -> Optional[int]:
+            entry_kind, rkey, wkey = key
             this, that = (rkey, wkey) if side == "read" else (wkey, rkey)
-            if that != other:
-                continue
+            if entry_kind is not kind or that != other:
+                return None
             if isinstance(this, int):
-                points.append((this, rate))
-            elif this == "1":
-                points.append((1, rate))
+                return this
+            return 1 if this == "1" else None
+
+        self._fill([key for key in self._pending if anchor(key) is not None])
+        points: List[Tuple[int, float]] = []
+        for key, rate in self._entries.items():
+            stride = anchor(key)
+            if stride is not None:
+                points.append((stride, rate))
         points.sort()
         return points
 
@@ -228,6 +311,7 @@ class ThroughputTable:
         Charges each side's penalty once on top of the contiguous rate:
         ``1/r = 1/r(x,1) + 1/r(1,y) - 1/r(1,1)``.
         """
+        self._fill(((kind, "1", "1"),))
         base = self._entries.get((kind, "1", "1"))
         if base is None:
             raise CalibrationError(
@@ -245,4 +329,4 @@ class ThroughputTable:
         return 1.0 / inverse
 
     def __repr__(self) -> str:
-        return f"ThroughputTable({self.name!r}, entries={len(self._entries)})"
+        return f"ThroughputTable({self.name!r}, entries={len(self)})"

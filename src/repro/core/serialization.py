@@ -48,9 +48,13 @@ def _parse_side(text: str) -> Union[str, int]:
     return int(text)
 
 
-def table_to_dict(table: ThroughputTable) -> Dict:
-    """Serialize a table to a JSON-compatible dict."""
-    return {"name": table.name, "entries": table.to_dict()}
+def table_to_dict(table: ThroughputTable, measure: bool = True) -> Dict:
+    """Serialize a table to a JSON-compatible dict.
+
+    ``measure=False`` leaves a deferred table's unmeasured entries out
+    (see :meth:`ThroughputTable.to_dict`).
+    """
+    return {"name": table.name, "entries": table.to_dict(measure=measure)}
 
 
 def table_from_dict(payload: Dict) -> ThroughputTable:

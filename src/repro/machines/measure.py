@@ -2,31 +2,35 @@
 
 The paper obtains its throughput figures by timing simple experiments
 on live machines.  :func:`measure_table` is the equivalent here: it
-runs every basic transfer the machine supports on the memory-system
-simulator, takes the network rates from the network model, and returns
-a ready-to-use :class:`~repro.core.calibration.ThroughputTable`.
+returns a :class:`~repro.core.calibration.ThroughputTable` that knows
+every basic transfer the machine supports and measures each one the
+first time a lookup reads it — memory-system transfers on the
+simulator, network rates from the network model.  Figures 7 and 8
+read a dozen of a table's 33-odd entries, so the stride anchors a
+figure never interpolates are never simulated.
 
 The measurement grid is exposed as data: :func:`calibration_entries`
 enumerates the ``(letter, read, write)`` entries a machine supports and
 :func:`measure_entry` evaluates one of them, so the sweep engine
 (:mod:`repro.sweep`) can shard a calibration across worker processes
 (``repro sweep --grid calibration --workers N``); its rates equal the
-entries of the table :func:`measure_table` assembles.
+entries of the table :func:`measure_table` returns.
 
 Tables are cached through :mod:`repro.caching` — an in-process LRU
 plus an on-disk layer — keyed by a content hash of everything the
-measurement depends on, because simulating the full grid of long
-streams is the slow part of the library.  Pass ``use_cache=False`` (or
-run ``python -m repro calibrate --no-cache``) to force remeasurement.
+measurement depends on.  A table is stored when it is made and its
+disk file is rewritten each time a read measures new entries, so a
+later process measures only what no earlier one read.  Pass
+``use_cache=False`` (or run ``python -m repro calibrate --no-cache``)
+to force remeasurement.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from ..caching import default_cache
-from ..core.calibration import ThroughputTable
+from ..core.calibration import EntryKey, ThroughputTable
 from ..core.errors import CalibrationError
 from ..core.operations import DepositSupport
 from ..core.patterns import CONTIGUOUS, INDEXED, AccessPattern, strided
@@ -35,8 +39,8 @@ from ..memsim.engine import ENGINE_VERSION
 from ..memsim.fastpath import FASTPATH_VERSION
 from ..memsim.node import (
     DEFAULT_MEASURE_WORDS,
-    ENGINE_ENV,
     NodeMemorySystem,
+    selected_engine,
 )
 from ..netsim.network import FramingMode
 from .base import Machine
@@ -57,10 +61,12 @@ __all__ = [
 DEFAULT_STRIDES: Tuple[int, ...] = (2, 4, 8, 16, 32, 64)
 
 #: Semantic version of the measurement procedure itself.  Bump when
-#: the entry grid or per-entry evaluation changes meaning, so sweep
-#: workers sharing the disk cache can never mix tables produced by a
-#: different measurement schema into one merged result.
-MEASURE_VERSION = "2"
+#: the entry grid, per-entry evaluation or the cache file's meaning
+#: changes, so sweep workers sharing the disk cache can never mix
+#: tables produced by a different measurement schema into one merged
+#: result.  Version 3 files may hold part of the grid: a table measures
+#: the entries a file lacks when they are read.
+MEASURE_VERSION = "3"
 
 #: One calibration entry: (kind letter, read key, write key) in table
 #: notation — e.g. ``("C", "1", 64)`` is the strided-store copy 1C64,
@@ -212,7 +218,7 @@ def measurement_cache_key(
         MEASURE_VERSION,
         ENGINE_VERSION,
         FASTPATH_VERSION,
-        os.environ.get(ENGINE_ENV) or "auto",
+        selected_engine(),
         machine.name,
         machine.node,
         machine.network,
@@ -225,6 +231,43 @@ def measurement_cache_key(
     )
 
 
+class _PinnedNode(NodeMemorySystem):
+    """A harness that runs the engine its table was made under.
+
+    A deferred table measures long after :func:`measure_table`
+    returned; its cache key names the ``REPRO_MEMSIM_ENGINE`` selection
+    of that moment, so a later change of the variable must not reach
+    its kernels.
+    """
+
+    def _resolve_engine_mode(self) -> str:
+        return self.engine
+
+
+def _measurer(
+    machine: Machine,
+    entry_of: Dict[EntryKey, CalEntry],
+    congestion: int,
+    nwords: int,
+    engine: str,
+) -> Callable[[EntryKey], float]:
+    """Measure one table key on a harness built at the first call."""
+    node: Optional[NodeMemorySystem] = None
+
+    def measure(key: EntryKey) -> float:
+        nonlocal node
+        if node is None:
+            node = _PinnedNode(
+                machine.node,
+                nwords=nwords,
+                index_run=machine.index_run,
+                engine=engine,
+            )
+        return measure_entry(machine, node, entry_of[key], congestion=congestion)
+
+    return measure
+
+
 def measure_table(
     machine: Machine,
     congestion: Optional[int] = None,
@@ -232,7 +275,14 @@ def measure_table(
     strides: Tuple[int, ...] = DEFAULT_STRIDES,
     use_cache: bool = True,
 ) -> ThroughputTable:
-    """Measure a full calibration table on the simulators.
+    """A calibration table that measures its entries on the simulators.
+
+    Each entry is measured the first time a read needs it (see
+    :meth:`~repro.core.calibration.ThroughputTable.defer`), under the
+    memory-simulator engine selected when this function ran; the values
+    equal those of measuring the whole grid at once.  The table is the
+    cache's own object: entries ``set`` or merged into it reach later
+    lookups of the same key and, once it measures again, its disk file.
 
     Args:
         machine: The machine to measure.
@@ -248,23 +298,28 @@ def measure_table(
     if congestion is None:
         congestion = machine.network.default_congestion
     strides = tuple(strides)
+    engine = selected_engine()
     key = measurement_cache_key(machine, congestion, nwords, strides)
-    if use_cache:
-        cached = default_cache().lookup(key)
-        if cached is not None:
-            return cached
-    table = ThroughputTable(
-        f"{machine.name} (simulated, congestion {congestion})"
-    )
-    node = machine.node_memory(nwords=nwords)
-    for entry in calibration_entries(machine, strides):
-        letter, read, write = entry
-        table.set(
-            _KIND_BY_LETTER[letter],
-            _table_key(read),
-            _table_key(write),
-            measure_entry(machine, node, entry, congestion=congestion),
+    cache = default_cache()
+    table = cache.lookup(key) if use_cache else None
+    if table is None:
+        table = ThroughputTable(
+            f"{machine.name} (simulated, congestion {congestion})"
         )
-    if use_cache:
-        default_cache().store(key, table)
+        if use_cache:
+            cache.store(key, table)
+    if not table.deferred:
+        # Fresh, or read back from a disk file that may hold part of
+        # the grid.
+        entry_of = {
+            (_KIND_BY_LETTER[letter], _table_key(read), _table_key(write)): (
+                letter, read, write,
+            )
+            for letter, read, write in calibration_entries(machine, strides)
+        }
+        table.defer(
+            entry_of,
+            _measurer(machine, entry_of, congestion, nwords, engine),
+            (lambda measured: cache.publish(key, measured)) if use_cache else None,
+        )
     return table

@@ -23,7 +23,12 @@ from .engine import KernelResult, MemoryEngine
 from .fastpath import FastEngine, FastpathUnsupported
 from .streams import DEFAULT_INDEX_RUN, AccessStream, make_stream
 
-__all__ = ["NodeMemorySystem", "DEFAULT_MEASURE_WORDS", "ENGINE_ENV"]
+__all__ = [
+    "NodeMemorySystem",
+    "DEFAULT_MEASURE_WORDS",
+    "ENGINE_ENV",
+    "selected_engine",
+]
 
 #: Environment variable overriding every :class:`NodeMemorySystem`'s
 #: engine selection: ``auto`` (default), ``fast`` (vectorized path,
@@ -32,6 +37,18 @@ __all__ = ["NodeMemorySystem", "DEFAULT_MEASURE_WORDS", "ENGINE_ENV"]
 ENGINE_ENV = "REPRO_MEMSIM_ENGINE"
 
 _ENGINE_MODES = ("auto", "fast", "scalar")
+
+
+def selected_engine(default: str = "auto") -> str:
+    """The engine mode ``REPRO_MEMSIM_ENGINE`` selects right now, or
+    ``default`` when it is unset; an unknown mode raises ``ValueError``."""
+    mode = os.environ.get(ENGINE_ENV) or default
+    if mode not in _ENGINE_MODES:
+        raise ValueError(
+            f"{ENGINE_ENV} must be one of {_ENGINE_MODES}, got {mode!r}"
+        )
+    return mode
+
 
 #: Default stream length for measurements: 32 Ki words = 256 KB, far
 #: beyond both machines' first-level caches so cold-start effects wash
@@ -97,12 +114,7 @@ class NodeMemorySystem:
         return MemoryEngine(self.config, occupancy_scale=self.occupancy_scale)
 
     def _resolve_engine_mode(self) -> str:
-        mode = os.environ.get(ENGINE_ENV) or self.engine
-        if mode not in _ENGINE_MODES:
-            raise ValueError(
-                f"{ENGINE_ENV} must be one of {_ENGINE_MODES}, got {mode!r}"
-            )
-        return mode
+        return selected_engine(self.engine)
 
     def clear_cache(self) -> None:
         """Drop memoized kernel results."""

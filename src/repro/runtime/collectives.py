@@ -238,7 +238,16 @@ def run_collective(
             whenever the machine has more than one core per node.
             Non-cluster machines ignore it.
     """
-    rounds = collective_rounds(op, algorithm, nodes, nbytes)
+    # The lowering is a pure function of its arguments, kept on the
+    # runtime beside the flow facts it feeds (the argument types too:
+    # a float payload lowers to float chunks).  Invalid arguments raise
+    # before anything is kept, so they raise on every call.
+    lowering = (op, algorithm, nodes, nbytes, type(nodes), type(nbytes))
+    rounds = runtime._lowerings.get(lowering)
+    if rounds is None:
+        rounds = runtime._lowerings[lowering] = collective_rounds(
+            op, algorithm, nodes, nbytes
+        )
     read = AccessPattern.parse(x)
     write = AccessPattern.parse(y)
     machine = runtime.machine

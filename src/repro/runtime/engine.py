@@ -58,6 +58,7 @@ from .stages import Stage, StagePipeline
 if TYPE_CHECKING:
     from ..analysis.diagnostics import Diagnostic
     from ..core.calibration import ThroughputTable
+    from .collectives import CollectiveRound
 
 __all__ = ["MeasuredTransfer", "CommRuntime", "CPU_CHUNK_OVERHEAD_NS", "measure_q"]
 
@@ -288,12 +289,13 @@ class CommRuntime:
             applies, if any.
 
     A runtime prices each distinct transfer once: :meth:`transfer`
-    keeps its results, and
+    keeps its results,
     :meth:`~repro.runtime.collective.CommunicationStep.signature` keeps
-    each step pattern's flow facts here.  Both memos are pure functions
-    of their keys, given the machine, library and table the runtime was
-    built with, and die with the runtime, so a fresh runtime is a cold
-    one.
+    each step pattern's flow facts here, and
+    :func:`~repro.runtime.collectives.run_collective` each collective's
+    lowered rounds.  The memos are pure functions of their keys, given
+    the machine, library and table the runtime was built with, and die
+    with the runtime, so a fresh runtime is a cold one.
     """
 
     def __init__(
@@ -331,6 +333,7 @@ class CommRuntime:
         self._flow_facts: Dict[
             Tuple, Tuple[float, int, Optional[int], Optional[int]]
         ] = {}
+        self._lowerings: Dict[Tuple, Tuple["CollectiveRound", ...]] = {}
 
     # -- rate lookups -----------------------------------------------------
 

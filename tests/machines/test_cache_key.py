@@ -11,6 +11,8 @@ orphans old disk entries instead of serving them).
 
 from dataclasses import replace
 
+import pytest
+
 from repro.core.operations import DepositSupport
 from repro.core.transfers import TransferKind
 from repro.machines import measure as measure_module
@@ -118,3 +120,66 @@ class TestCapabilityAblationTables:
         assert base_table is not ablated_table
         assert base_table.get(TransferKind.RECEIVE_DEPOSIT, "0", "1") > 0
         assert ablated_table.get(TransferKind.RECEIVE_DEPOSIT, "0", "1") is None
+
+
+class TestEnginePinnedAtCreation:
+    """A table measures an entry when it is first read, which may be
+    long after ``measure_table`` returned.  Its cache key names the
+    ``REPRO_MEMSIM_ENGINE`` selection at creation, so every entry must
+    be measured under that selection, whatever the variable says when
+    the entry is read.  On t3d and xe the scalar oracle and the fast
+    path differ in the last ulp for about a third of the entries, so a
+    table measured under the wrong engine shows."""
+
+    NWORDS = 2048
+    _eager = {}
+
+    @classmethod
+    def _eager_table(cls, machine_key, engine, monkeypatch):
+        """Every entry measured at once under ``engine``, keyed as
+        ``to_dict`` keys them."""
+        from repro.machines import machine_by_key
+        from repro.machines.measure import measure_entries
+        from repro.memsim.node import ENGINE_ENV
+
+        if (machine_key, engine) not in cls._eager:
+            machine = machine_by_key(machine_key)
+            monkeypatch.setenv(ENGINE_ENV, engine)
+            entries = calibration_entries(machine)
+            rates = measure_entries(
+                machine, machine.node_memory(nwords=cls.NWORDS), entries
+            )
+            cls._eager[machine_key, engine] = {
+                letter if letter.startswith("N") else f"{read}{letter}{write}": rate
+                for (letter, read, write), rate in zip(entries, rates)
+            }
+        return cls._eager[machine_key, engine]
+
+    @pytest.mark.parametrize("machine_key", ["t3d", "xe"])
+    @pytest.mark.parametrize("made", ["scalar", "fast"])
+    @pytest.mark.parametrize("read", ["other", "auto", None])
+    @pytest.mark.parametrize("use_cache", [False, True])
+    def test_reads_measure_under_the_creation_engine(
+        self, machine_key, made, read, use_cache, monkeypatch, tmp_path
+    ):
+        from repro.caching import CACHE_DIR_ENV, default_cache
+        from repro.machines import machine_by_key
+        from repro.memsim.node import ENGINE_ENV
+
+        other = "fast" if made == "scalar" else "scalar"
+        expected = self._eager_table(machine_key, made, monkeypatch)
+        assert expected != self._eager_table(machine_key, other, monkeypatch)
+
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+        default_cache().clear()
+        monkeypatch.setenv(ENGINE_ENV, made)
+        table = measure_table(
+            machine_by_key(machine_key), nwords=self.NWORDS, use_cache=use_cache
+        )
+        if read is None:
+            monkeypatch.delenv(ENGINE_ENV)
+        else:
+            monkeypatch.setenv(ENGINE_ENV, other if read == "other" else read)
+        assert table.get(TransferKind.COPY, "1", 8) == expected["1C8"]
+        assert table.to_dict() == expected
+        default_cache().clear()

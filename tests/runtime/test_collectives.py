@@ -247,6 +247,44 @@ class TestRuntimeMemo:
         # 148 distinct flow patterns per runtime, 30 distinct transfers.
         assert calls == {"execute": 30, "congestion": 148}
 
+    def test_cold_collective_sweep_lowers_each_collective_once(
+        self, monkeypatch
+    ):
+        """The lowered rounds are kept on the runtime: a cold sweep
+        builds each pairwise exchange once per runtime, although the
+        selector and the cells run it again and again."""
+        import repro.runtime.collectives as collectives_module
+        from repro.sweep import collectives_spec, run_sweep
+        from repro.sweep.worker import reset_memos
+
+        builds = []
+        key = ("alltoall", "pairwise-exchange")
+        build = collectives_module._BUILDERS[key]
+
+        def counted(nodes, nbytes):
+            builds.append((nodes, nbytes))
+            return build(nodes, nbytes)
+
+        monkeypatch.setitem(collectives_module._BUILDERS, key, counted)
+        reset_memos()
+        spec = collectives_spec(nodes=(64,))
+        run_sweep(spec)
+        # One runtime per machine, one build per size on each.
+        expected = sorted(
+            (64, size) for size in spec.sizes for __ in spec.machines
+        )
+        assert sorted(builds) == expected
+
+    def test_invalid_collectives_raise_on_every_call(self):
+        runtime = CommRuntime(t3d(), rates="paper")
+        for __ in range(2):
+            with pytest.raises(ModelError, match="needs >= 2 nodes"):
+                run_collective(runtime, "broadcast", "ring", 1, 4096)
+            with pytest.raises(ModelError, match="nbytes > 0"):
+                run_collective(runtime, "broadcast", "ring", 8, 0)
+            with pytest.raises(ModelError, match="unknown collective"):
+                run_collective(runtime, "scan", "ring", 8, 4096)
+
     @pytest.mark.parametrize("key", ["t3d", "xe", "cluster"])
     def test_one_runtime_prices_every_collective_as_fresh(self, key):
         """Every algorithm in turn, nominal, under a plan and nominal

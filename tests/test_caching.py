@@ -1,6 +1,8 @@
 """Tests for the calibration cache (repro.caching)."""
 
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -14,7 +16,14 @@ from repro.caching import (
 from repro.core.calibration import ThroughputTable
 from repro.core.transfers import TransferKind
 from repro.machines import t3d
-from repro.machines.measure import measure_table, measurement_cache_key
+from repro.machines.measure import (
+    DEFAULT_STRIDES,
+    _KIND_BY_LETTER,
+    _table_key,
+    calibration_entries,
+    measure_table,
+    measurement_cache_key,
+)
 from repro.memsim.config import DRAMConfig, NodeConfig
 
 
@@ -201,6 +210,16 @@ class TestDisableSwitch:
         assert cache.lookup("k") is None
 
 
+def _read_every_third_entry(part: int) -> None:
+    """A worker process: read one third of a T3D table's grid, so each
+    measured entry rewrites the shared disk file."""
+    machine = t3d()
+    table = measure_table(machine, nwords=512)
+    for index, (letter, read, write) in enumerate(calibration_entries(machine)):
+        if index % 3 == part:
+            table.get(_KIND_BY_LETTER[letter], _table_key(read), _table_key(write))
+
+
 class TestMeasureTableIntegration:
     def test_use_cache_false_bypasses_the_default_cache(self):
         machine = t3d()
@@ -226,3 +245,27 @@ class TestMeasureTableIntegration:
         assert measurement_cache_key(
             machine, 4, 2048, (8,)
         ) != measurement_cache_key(slower, 4, 2048, (8,))
+
+    def test_workers_sharing_the_disk_file_never_store_a_wrong_value(self):
+        """Three processes (more than this host's cores) fill one table
+        and rewrite its file concurrently.  A lost update may drop
+        entries from the file, but every entry it holds is the value a
+        single process measures, and a reader measures the rest."""
+        machine = t3d()
+        expected = measure_table(machine, nwords=512, use_cache=False).to_dict()
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=3, mp_context=context) as pool:
+            futures = [
+                pool.submit(_read_every_third_entry, part) for part in range(3)
+            ]
+            for future in futures:
+                future.result(timeout=120)
+        key = measurement_cache_key(
+            machine, machine.network.default_congestion, 512, DEFAULT_STRIDES
+        )
+        path = CalibrationCache()._path(key)
+        stored = json.loads(path.read_text())["entries"]
+        assert stored
+        assert all(expected[name] == rate for name, rate in stored.items())
+        default_cache().clear()
+        assert measure_table(machine, nwords=512).to_dict() == expected
