@@ -40,14 +40,14 @@ FIG4_TARGET_SPEEDUP = 5.0
 
 #: The sweep acceptance bar: the sharded engine regenerates the
 #: figure-7 grid at least this much faster than the serial per-cell
-#: loop it replaced (worker batching + process parallelism).
+#: loop it replaced (shared worker memos + process parallelism).
 SWEEP_TARGET_SPEEDUP = 2.0
 
 #: Worker processes for the sweep benchmark.
 SWEEP_WORKERS = 4
 
-#: The batched engine target: vectorized figure-7 regeneration at
-#: least this much faster than the honest serial per-cell loop.
+#: The in-process sweep target: figure-7 regeneration on shared worker
+#: memos at least this much faster than the honest serial per-cell loop.
 BATCH_TARGET_SPEEDUP = 10.0
 
 #: Hard regression floor for CI: below this the bench fails (between
@@ -368,7 +368,7 @@ def main() -> int:
     for __ in range(args.repeat):
         default_cache().clear()
         started = time.perf_counter()
-        serial_result = run_serial(sweep_spec, batched=False)
+        serial_result = run_serial(sweep_spec)
         serial_sweep_s = min(
             serial_sweep_s, time.perf_counter() - started
         )
@@ -387,20 +387,19 @@ def main() -> int:
         else float("inf")
     )
 
-    # In-process sweep: the same figure-7 grid evaluated as vectorized
-    # numpy passes in one process (run_sweep(workers=1)), against the
-    # same honest serial baseline.  Cache stays off; the payload
-    # must be bit-identical, cell for cell.
+    # In-process sweep: the same figure-7 grid run cell by cell in one
+    # process on shared worker memos (run_sweep(workers=1)), against
+    # the same honest serial baseline, which rebuilds every cell's
+    # state.  Cache stays off; the payload must be bit-identical, cell
+    # for cell.
     batch_sweep_s = float("inf")
     batch_digest = None
-    batch_stats = {}
     for __ in range(args.repeat):
         default_cache().clear()
         started = time.perf_counter()
         batch_result = run_sweep(sweep_spec, workers=1)
         batch_sweep_s = min(batch_sweep_s, time.perf_counter() - started)
         batch_digest = batch_result.digest()
-        batch_stats = batch_result.stats
     batch_identical = serial_digest == batch_digest
     batch_speedup = (
         serial_sweep_s / batch_sweep_s if batch_sweep_s > 0 else float("inf")
@@ -500,8 +499,6 @@ def main() -> int:
             "serial_s": round(serial_sweep_s, 4),
             "batch_s": round(batch_sweep_s, 4),
             "speedup": round(batch_speedup, 2),
-            "groups": batch_stats.get("batch_groups"),
-            "fallbacks": batch_stats.get("batch_fallbacks"),
             "bit_identical": batch_identical,
             "digest": batch_digest,
         },
@@ -590,11 +587,9 @@ def main() -> int:
         f"{'bit-identical' if sweep_identical else 'RESULTS DIFFER'})"
     )
     print(
-        f"figure7 batch engine: serial {serial_sweep_s:.2f}s -> "
-        f"batched {batch_sweep_s:.2f}s "
+        f"figure7 in-process sweep: serial {serial_sweep_s:.2f}s -> "
+        f"in-process {batch_sweep_s:.2f}s "
         f"({batch_speedup:.2f}x, "
-        f"{batch_stats.get('batch_groups')} groups, "
-        f"{batch_stats.get('batch_fallbacks')} fallbacks, "
         f"{'bit-identical' if batch_identical else 'RESULTS DIFFER'})"
     )
     print(

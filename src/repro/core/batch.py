@@ -17,7 +17,7 @@ list in a handful of numpy passes:
   :func:`numpy.where` caps — each lane reproduces the scalar fold's
   IEEE-754 operation sequence, so results are **bit-identical** to
   :func:`repro.core.throughput.evaluate` (asserted by
-  ``tests/properties/test_batch_parity.py``);
+  ``tests/core/test_batch.py``);
 * lanes the vector path cannot express — a composition that fails
   validation, a missing calibration entry, a nonpositive leaf rate
   (the scalar evaluator's zero-throughput ``ModelError`` domain) —
@@ -31,8 +31,17 @@ many transfers at once (:func:`solve_pipeline_group`): lanes sharing a
 pipeline *structure* (chunking and resource-sharing topology) advance
 chunk by chunk as arrays, replicating
 :meth:`repro.runtime.stages.StagePipeline.run`'s recurrence
-elementwise.  The sweep engine (:mod:`repro.sweep.batch`) builds on
-both halves.
+elementwise.
+
+No sweep calls this module: every sweep cell runs the scalar per-cell
+path (:func:`repro.sweep.worker.run_cell`), which became faster than
+the vectorized sweep engine once runtimes kept their priced transfers
+and tables measured entries on first read.  The module stays because
+the benchmark's layer profiler (``perfbench/layers.py``, layer
+``model.batch``) wraps :func:`evaluate_many`, :func:`estimate_many`,
+:func:`advise_many` and :func:`solve_pipeline_group` by name, and a
+traced benchmark run fails if one is missing; it goes when that layer
+does.
 
 This module deliberately imports nothing from :mod:`repro.runtime` or
 :mod:`repro.sweep` — it is pure core + numpy, and the higher layers

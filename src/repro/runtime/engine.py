@@ -624,11 +624,12 @@ class CommRuntime:
                 plan = None
         tracer = current_tracer()
         record = tracer is not None
-        # The congestion's type is keyed too: 2 == 2.0, but the result
-        # carries the congestion as given.
+        # The payload's and congestion's types are keyed too: 2 == 2.0,
+        # but a float payload fails where an int one runs, and the
+        # result carries the congestion as given.
         key = (
-            x, y, nbytes, style, congestion, type(congestion), duplex,
-            analyze, plan, src, dst, record,
+            x, y, nbytes, type(nbytes), style, congestion, type(congestion),
+            duplex, analyze, plan, src, dst, record,
         )
         kept = self._transfers.get(key)
         if kept is not None:

@@ -1,22 +1,22 @@
-"""Sweep execution: serial reference, in-process batched, and pooled.
+"""Sweep execution: serial reference, in-process, and pooled.
 
-Two execution strategies plus the oracle, all producing bit-identical
-:class:`~repro.sweep.merge.SweepResult` payloads for the same spec:
+Every strategy runs each cell through the same per-cell code
+(:func:`~repro.sweep.worker.run_cell`) and produces a bit-identical
+:class:`~repro.sweep.merge.SweepResult` payload for the same spec:
 
 * :func:`run_serial` — the *reference implementation*: a plain loop
   over the grid in canonical order, one fresh runtime per cell,
   exactly what the pre-sweep consumers did.  Slowest, simplest,
   obviously correct; the determinism tests compare everything else
   against it.
-* :func:`run_sweep` with ``workers <= 1`` — the whole grid through one
-  in-process :func:`~repro.sweep.batch.run_cells_batched` pass, which
-  falls back per cell to the scalar oracle where batching does not
-  apply.
+* :func:`run_sweep` with ``workers <= 1`` — the whole grid in canonical
+  order in the calling process (:func:`~repro.sweep.worker.run_cells`),
+  the cells sharing one set of worker memos.
 * :func:`run_sweep` with ``workers > 1`` — a
   :class:`~concurrent.futures.ProcessPoolExecutor` executing shards,
-  each worker batching its own shards and all workers sharing the
-  on-disk calibration cache; results are merged by canonical cell
-  index, never by completion order.
+  each worker sharing its memos across the shards it runs and all
+  workers sharing the on-disk calibration cache; results are merged by
+  canonical cell index, never by completion order.
 
 Shard lifecycle is observable through the trace layer: with a tracer
 installed (:func:`repro.trace.tracing`) the runner emits
@@ -39,7 +39,7 @@ from . import worker as worker_module
 from .merge import SweepResult, merge_rows
 from .plan import Shard, plan_shards
 from .spec import SweepError, SweepSpec
-from .worker import init_worker, pinned_environment, run_shard
+from .worker import init_worker, pinned_environment, run_cells, run_shard
 
 __all__ = ["run_serial", "run_sweep"]
 
@@ -62,31 +62,28 @@ def _shard_payload(shard: Shard):
     )
 
 
-def run_serial(spec: SweepSpec, batched: bool = False) -> SweepResult:
+def run_serial(spec: SweepSpec) -> SweepResult:
     """Execute the grid with a plain in-order loop (no shards, no pool).
 
-    With ``batched=False`` every cell rebuilds its state from scratch
-    (a fresh memo universe per cell) — the honest pre-sweep baseline
-    the speed benchmark compares against, and the reference the
-    determinism properties hold every other strategy to.  With
-    ``batched=True`` the worker memos persist across cells, which must
-    not change a single bit of the result.
+    Every cell rebuilds its state from scratch (a fresh memo universe
+    per cell) — the honest pre-sweep baseline the speed benchmark
+    compares against, and the reference the determinism properties
+    hold every other strategy to.  The same loop with memos kept
+    across cells is ``run_sweep(spec, workers=1)``.
     """
     cells = spec.expand()
     started = time.perf_counter()
     rows: List[Dict[str, Any]] = []
     for cell in cells:
-        if not batched:
-            worker_module.reset_memos()
-        rows.append(worker_module.run_cell(cell))
-    if not batched:
         worker_module.reset_memos()
+        rows.append(worker_module.run_cell(cell))
+    worker_module.reset_memos()
     elapsed = time.perf_counter() - started
     return SweepResult(
         spec=spec,
         rows=tuple(rows),
         stats={
-            "strategy": "serial" if not batched else "serial-batched",
+            "strategy": "serial",
             "workers": 1,
             "shards": 0,
             "cells": len(cells),
@@ -165,10 +162,9 @@ def run_sweep(
     Args:
         spec: The grid to sweep.
         workers: Process count; ``None``, 0 or 1 run the whole grid
-            in-process (no pool) as one batched pass
-            (:func:`~repro.sweep.batch.run_cells_batched`); more run
-            the planned shards on a process pool, each shard batched
-            inside its worker.
+            in-process (no pool) in canonical order
+            (:func:`~repro.sweep.worker.run_cells`); more run the
+            planned shards on a process pool.
         shard_size: Cells per shard on the pool (default: a few shards
             per worker).  In-process runs do not shard, so it only
             shapes the planned-shard count they report.
@@ -200,17 +196,8 @@ def run_sweep(
         tracer.count("sweep.workers", n_workers)
 
     started = time.perf_counter()
-    batch_stats: Dict[str, Any] = {}
     if n_workers == 1:
-        # Whole grid through one batched pass: maximal group sizes.
-        from .batch import run_cells_batched
-
-        report = run_cells_batched(cells)
-        indexed_rows = list(enumerate(report.rows))
-        batch_stats = {
-            "batch_groups": report.groups,
-            "batch_fallbacks": report.fallbacks,
-        }
+        indexed_rows = list(enumerate(run_cells(cells)))
     else:
         indexed_rows = _run_shards_pooled(shards, n_workers, tracer, started)
     rows = merge_rows(cells, indexed_rows)
@@ -235,7 +222,6 @@ def run_sweep(
         "cells": len(cells),
         "elapsed_s": elapsed,
     }
-    stats.update(batch_stats)
     if n_verified is not None:
         stats["preflight_verified"] = n_verified
     return SweepResult(spec=spec, rows=rows, stats=stats)

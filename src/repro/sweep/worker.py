@@ -1,24 +1,26 @@
-"""Per-process sweep execution: batched, memoized, deterministic.
+"""Per-process sweep execution: memoized, deterministic.
 
-Each worker process executes whole shards.  The win over the naive
-per-cell loop is **batching**: cells of one shard (and of later shards
-the same process picks up) share a worker-local memo of machines,
-calibration tables, runtimes and node harnesses, so the expensive
-shared work — deriving a machine's simulated calibration table — is
-paid once per process instead of once per cell.  A runtime keeps the
-transfers and step patterns it has priced, so the collective selector
-prices on the paper-rate runtime its cells then run on.  A memo holding a
-simulated table is keyed on the memsim engine selection, as the
-calibration cache (:mod:`repro.caching`) is; through the cache's disk
-layer each distinct table is simulated at most once per cache-cold run.
+Every sweep cell runs through :func:`run_cell`, in the calling process
+for an in-process sweep and in each pool worker for a pooled one.  The
+win over the naive per-cell loop is **memo sharing**: the cells a
+process runs share a worker-local memo of machines, calibration
+tables, runtimes and node harnesses, so the expensive shared work —
+deriving a machine's simulated calibration table — is paid once per
+process instead of once per cell.  A runtime keeps the transfers and
+step patterns it has priced, so the collective selector prices on the
+paper-rate runtime its cells then run on.  A memo holding a simulated
+table is keyed on the memsim engine selection
+(:func:`repro.memsim.node.selected_engine`), as the calibration cache
+(:mod:`repro.caching`) is; through the cache's disk layer each
+distinct table is simulated at most once per cache-cold run.
 
-:func:`run_shard` hands each shard to the batch engine
-(:mod:`repro.sweep.batch`); :func:`run_cell` is the scalar per-cell
-oracle that engine falls back to and the determinism tests compare
-against.  Nothing here may affect *values*: every memoized object is a
-pure function of its key, so batched, unbatched, in-process and pooled
-execution produce bit-identical rows (asserted by
-``tests/properties/test_sweep_properties.py``).
+:func:`run_cells` is the one execution loop: :func:`run_cell` per cell,
+with a failing cell raised as a :class:`SweepError` naming it.
+Nothing here may affect *values*: every memoized object is a pure
+function of its key, so memo-sharing, fresh-per-cell, in-process and
+pooled execution produce bit-identical rows (asserted by
+``tests/properties/test_sweep_properties.py`` and
+``tests/properties/test_sweep_parity.py``).
 
 The module is import-safe for both ``fork`` and ``spawn`` start
 methods: all state lives in module-level dictionaries rebuilt lazily,
@@ -29,12 +31,12 @@ the relevant environment so a spawned worker matches its parent.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..caching import CACHE_DIR_ENV, CACHE_ENV
 from ..core.operations import OperationStyle
 from ..core.patterns import AccessPattern
-from ..memsim.node import ENGINE_ENV
+from ..memsim.node import ENGINE_ENV, selected_engine
 from .spec import NOMINAL_SEED, SweepCell, SweepError
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
     "machine_by_key",
     "pinned_environment",
     "reset_memos",
+    "run_cells",
     "run_shard",
 ]
 
@@ -119,13 +122,8 @@ def _pattern(key: str) -> AccessPattern:
     return AccessPattern.parse(key)
 
 
-def _engine() -> str:
-    """The memsim engine selection a simulated table is measured under."""
-    return os.environ.get(ENGINE_ENV) or "auto"
-
-
 def _table(machine_name: str, rates: str):
-    key = (machine_name, rates, _engine())
+    key = (machine_name, rates, selected_engine())
     if key not in _tables:
         machine = machine_by_key(machine_name)
         _tables[key] = (
@@ -137,7 +135,7 @@ def _table(machine_name: str, rates: str):
 
 def _runtime(machine_name: str, style: str, rates: str):
     """A memoized CommRuntime under measure_q's library conventions."""
-    key = (machine_name, style, rates, _engine())
+    key = (machine_name, style, rates, selected_engine())
     if key not in _runtimes:
         from ..runtime.engine import CommRuntime
         from ..runtime.libraries import lowlevel_profile, packing_profile
@@ -156,7 +154,7 @@ def _runtime(machine_name: str, style: str, rates: str):
 
 
 def _model(machine_name: str, source: str):
-    key = (machine_name, source, _engine())
+    key = (machine_name, source, selected_engine())
     if key not in _models:
         _models[key] = machine_by_key(machine_name).model(source=source)
     return _models[key]
@@ -279,32 +277,42 @@ def _run_calibrate_cell(cell: SweepCell) -> Dict[str, Any]:
     return {"id": cell.cell_id, "mbps": rate}
 
 
+def run_cells(cells: Sequence[SweepCell]) -> List[Dict[str, Any]]:
+    """Run ``cells`` in order on this process's memos, one row each.
+
+    A failing cell aborts the run with a :class:`SweepError` naming it
+    — a silently absent cell must never reach the merge.
+    """
+    rows: List[Dict[str, Any]] = []
+    for cell in cells:
+        try:
+            rows.append(run_cell(cell))
+        except SweepError:
+            raise
+        except Exception as exc:
+            raise SweepError(f"cell {cell.cell_id!r} failed: {exc}") from exc
+    return rows
+
+
 def run_shard(
     payload: Tuple[int, Tuple[Tuple[int, Dict[str, Any]], ...]],
 ) -> Tuple[int, List[Tuple[int, Dict[str, Any]]]]:
     """Execute one shard: ``(shard_index, ((cell_index, cell_dict), ...))``.
 
-    The shard runs through the batch engine
-    (:func:`repro.sweep.batch.run_cells_batched`), which falls back per
-    cell to :func:`run_cell` where batching does not apply.
-
     Returns ``(shard_index, [(cell_index, row), ...])``.  Cell dicts
     (not :class:`SweepCell` objects) cross the process boundary so a
     spawned worker never depends on pickling implementation details.
-    A failing cell aborts the whole shard with a :class:`SweepError`
-    naming it — a silently absent cell must never reach the merge.
+    A failing cell aborts the whole shard (see :func:`run_cells`).
     """
-    from .batch import run_cells_batched
-
     shard_index, indexed_cells = payload
     if _INIT_ERROR is not None:
         raise SweepError(
             f"sweep worker initialization failed: {_INIT_ERROR}"
         )
-    report = run_cells_batched(
+    rows = run_cells(
         [SweepCell.from_dict(cell_dict) for __, cell_dict in indexed_cells]
     )
     return shard_index, [
         (cell_index, row)
-        for (cell_index, __), row in zip(indexed_cells, report.rows)
+        for (cell_index, __), row in zip(indexed_cells, rows)
     ]

@@ -9,8 +9,8 @@ file, not hand-porting assertions:
 * transfer time is monotone in payload size;
 * the verifier's static interval (CT214's bracket) contains the
   model's own estimate;
-* the sweep engines (scalar per-cell loop vs vectorized batch) produce
-  bit-identical rows.
+* a sweep sharing worker memos across cells and the serial reference
+  (fresh memos per cell) produce bit-identical rows.
 """
 
 import hypothesis.strategies as st
@@ -106,8 +106,7 @@ class TestEveryRegisteredMachine:
         assert interval.contains(estimate.mbps)
 
     def test_sweep_engines_bit_identical(self, key):
-        from repro.sweep.batch import run_cells_batched
-        from repro.sweep.worker import run_cell
+        from repro.sweep import run_serial, run_sweep
 
         spec = SweepSpec(
             kind="transfer",
@@ -117,7 +116,4 @@ class TestEveryRegisteredMachine:
             sizes=(4096, 131072),
             rates="paper",
         )
-        cells = spec.expand()
-        scalar = [run_cell(cell) for cell in cells]
-        batched = run_cells_batched(cells).rows
-        assert scalar == list(batched)
+        assert run_sweep(spec, workers=1).rows == run_serial(spec).rows

@@ -3,7 +3,7 @@
 The sweep's reproducibility obligation is absolute: the same
 :class:`~repro.sweep.SweepSpec` must merge to a **bit-identical**
 canonical payload no matter how the execution was sliced — worker
-count, shard size, shard submission order, batched or cold memos.
+count, shard size, shard submission order, shared or fresh memos.
 These properties drive randomly generated specs through every
 execution strategy and compare SHA-256 digests of the canonical JSON.
 
@@ -118,8 +118,10 @@ class TestDeterministicMerge:
     @SLOW_SETTINGS
     @given(spec=transfer_specs())
     def test_batching_cannot_change_results(self, spec):
-        cold = run_serial(spec, batched=False)
-        warm = run_serial(spec, batched=True)
+        """Cells sharing one set of worker memos merge to the payload
+        of cells that each start from fresh memos."""
+        cold = run_serial(spec)
+        warm = run_sweep(spec, workers=1)
         assert cold.canonical_json() == warm.canonical_json()
 
     @SLOW_SETTINGS

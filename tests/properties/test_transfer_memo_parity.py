@@ -6,7 +6,9 @@ the runtime.  These properties run random sequences of transfers and
 collectives, with random arguments, fault plans (standing and
 context) and the tracer on or off, on one runtime, and hold every
 call's value, ledgers, raised error and trace payload equal to what a
-fresh runtime gives for that call alone.  Sequences draw from a small
+fresh runtime gives for that call alone.  Payloads include floats
+equal to a drawn int payload: a fresh runtime rejects them, so a kept
+int result must never answer one.  Sequences draw from a small
 pool with repeats, so hits (traced and untraced) are common.
 
 CI gates on this module: the job fails if these tests are skipped.
@@ -45,7 +47,7 @@ _transfers = st.fixed_dictionaries({
     "kind": st.just("transfer"),
     "x": st.sampled_from([CONTIGUOUS, strided(8), strided(64)]),
     "y": st.sampled_from([CONTIGUOUS, strided(64)]),
-    "nbytes": st.sampled_from([512, 4096, 65536]),
+    "nbytes": st.sampled_from([512, 4096, 4096.0, 65536]),
     "style": st.sampled_from(list(OperationStyle)),
     "congestion": st.sampled_from([None, 1, 1.0, 2.5]),
     "duplex": st.booleans(),
@@ -60,7 +62,7 @@ _collectives = st.sampled_from(sorted(ALGORITHMS)).flatmap(
         "op": st.just(op),
         "algorithm": st.sampled_from(ALGORITHMS[op]),
         "nodes": st.sampled_from([2, 5, 8]),
-        "nbytes": st.sampled_from([1024, 65536]),
+        "nbytes": st.sampled_from([1024, 1024.0, 65536]),
         "hierarchical": st.sampled_from([None, False]),
     })
 )
@@ -107,7 +109,7 @@ def _call(runtime, call):
                         hierarchical=call["hierarchical"],
                     )
                     ledgers = [step.sample.ledger for step in value.rounds]
-            except ModelError as exc:
+            except (ModelError, TypeError) as exc:
                 error = (type(exc), str(exc))
     payload = None
     if tracer is not None:

@@ -96,6 +96,17 @@ def test_the_congestion_type_is_keyed():
     assert type(kept.congestion) is int
 
 
+def test_the_payload_type_is_keyed():
+    """4096 == 4096.0, but a float payload fails on a fresh runtime."""
+    runtime = _runtime()
+    _transfer(runtime, nbytes=4096)
+    with pytest.raises(TypeError) as kept:
+        _transfer(runtime, nbytes=4096.0)
+    with pytest.raises(TypeError) as fresh:
+        _transfer(_runtime(), nbytes=4096.0)
+    assert str(kept.value) == str(fresh.value)
+
+
 @pytest.mark.parametrize("plan", PLANS)
 def test_a_repeat_returns_the_kept_result(plan):
     runtime = _runtime(plan=plan)

@@ -1,4 +1,4 @@
-"""Runner strategies and worker batching: equality and bookkeeping.
+"""Runner strategies and worker memos: equality and bookkeeping.
 
 These use ``rates="paper"`` grids — no simulator calibration — so the
 whole file stays fast; the simulated-rates equalities live in the
@@ -27,11 +27,6 @@ FAST_SPEC = SweepSpec(
 
 
 class TestStrategies:
-    def test_serial_batched_and_unbatched_agree(self):
-        a = run_serial(FAST_SPEC, batched=False)
-        b = run_serial(FAST_SPEC, batched=True)
-        assert a.canonical_json() == b.canonical_json()
-
     def test_inline_matches_serial(self):
         assert (
             run_sweep(FAST_SPEC, workers=1).digest()
