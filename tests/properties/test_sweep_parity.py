@@ -9,7 +9,9 @@ canonical payload.  These properties drive random
 ``test_sweep_properties``) through both and compare canonical JSON
 (hence SHA-256 digests) — fault-seeded cells and an ambient fault
 plan included.  The in-process identity on generated grids is
-``test_sweep_properties``' ``test_batching_cannot_change_results``.
+``test_sweep_properties``' ``test_batching_cannot_change_results``;
+``test_batch_parity`` holds :func:`~repro.sweep.worker.run_cells`
+itself, on cold and warm memos, to the same reference.
 
 Transfer grids use ``rates="paper"`` so Hypothesis can afford several
 examples; the simulated-rates surface is covered by the slow-marked

@@ -27,6 +27,19 @@ FAST_SPEC = SweepSpec(
 
 
 class TestStrategies:
+    def test_serial_batched_and_unbatched_agree(self):
+        # Fresh memos per cell (run_serial) against one batch of cells
+        # on shared memos, run twice so the second pass reads warm ones.
+        a = run_serial(FAST_SPEC)
+        worker_module.reset_memos()
+        try:
+            cold = run_sweep(FAST_SPEC, workers=1)
+            warm = run_sweep(FAST_SPEC, workers=1)
+        finally:
+            worker_module.reset_memos()
+        assert a.canonical_json() == cold.canonical_json()
+        assert a.canonical_json() == warm.canonical_json()
+
     def test_inline_matches_serial(self):
         assert (
             run_sweep(FAST_SPEC, workers=1).digest()
