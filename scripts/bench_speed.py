@@ -600,131 +600,85 @@ def main() -> int:
     )
     print(f"wrote {args.output}")
 
-    if trace_overhead >= TRACE_OVERHEAD_LIMIT:
-        print(
-            f"FAIL: tracer overhead {trace_overhead * 100.0:.1f}% >= "
-            f"{TRACE_OVERHEAD_LIMIT * 100.0:.0f}% target "
-            f"(median of {overhead_rounds} rotated rounds)",
-            file=sys.stderr,
-        )
-        return 1
-    if faults_overhead >= FAULTS_OVERHEAD_LIMIT:
-        print(
-            f"FAIL: faults-off overhead {faults_overhead * 100.0:.1f}% >= "
-            f"{FAULTS_OVERHEAD_LIMIT * 100.0:.0f}% target "
-            f"(median of {overhead_rounds} rotated rounds)",
-            file=sys.stderr,
-        )
-        return 1
-    if not load_identical:
-        print(
-            f"FAIL: load-engine replay differs "
-            f"({load_result.digest()} vs {load_replay.digest()})",
-            file=sys.stderr,
-        )
-        return 1
-    if not load_digest_pinned:
-        print(
-            f"FAIL: protection-off load digest moved "
-            f"({load_result.digest()} vs pinned "
-            f"{LOAD_PROTECTION_OFF_DIGEST}) — the overload layer "
-            f"must not perturb the unprotected engine",
-            file=sys.stderr,
-        )
-        return 1
-    if load_eps < LOAD_FLOOR_EVENTS_PER_S:
-        print(
-            f"FAIL: load engine {load_eps:,.0f} events/s < "
-            f"{LOAD_FLOOR_EVENTS_PER_S:,.0f} regression floor",
-            file=sys.stderr,
-        )
-        return 1
-    if load_eps < LOAD_TARGET_EVENTS_PER_S:
-        print(
-            f"WARN: load engine {load_eps:,.0f} events/s < "
-            f"{LOAD_TARGET_EVENTS_PER_S:,.0f} target",
-            file=sys.stderr,
-        )
-
-    if not streams["byte_identical"]:
-        print(
-            "FAIL: indexed-stream replay differs from the reference loop",
-            file=sys.stderr,
-        )
-        return 1
-    if streams["min_speedup"] < STREAMS_TARGET_SPEEDUP:
-        print(
-            f"FAIL: indexed-stream replay speedup "
-            f"{streams['min_speedup']:.1f}x < "
-            f"{STREAMS_TARGET_SPEEDUP:.0f}x target",
-            file=sys.stderr,
-        )
-        return 1
-    if not payload["meets_target"]["modern_calibration_within_1e-9"]:
-        print(
-            f"FAIL: modern calibration tables differ between scalar and "
-            f"fast beyond {MODERN_PARITY_REL:.0e} relative "
-            f"(worst {modern['worst_rel_diff']:.1e})",
-            file=sys.stderr,
-        )
-        return 1
-    if modern["min_speedup"] < MODERN_TARGET_SPEEDUP:
-        print(
-            f"FAIL: modern calibration speedup "
-            f"{modern['min_speedup']:.2f}x < "
-            f"{MODERN_TARGET_SPEEDUP:.0f}x target",
-            file=sys.stderr,
-        )
-        return 1
-    if mismatches:
-        print(f"FAIL: {len(mismatches)} scalar/fast figure-4 mismatches",
-              file=sys.stderr)
-        return 1
-    if not sweep_identical:
-        print(
-            f"FAIL: figure-7 sweep results differ between serial and "
-            f"{SWEEP_WORKERS}-worker execution "
-            f"({serial_digest} vs {parallel_digest})",
-            file=sys.stderr,
-        )
-        return 1
-    if not payload["meets_target"]["figure7_sweep_speedup_gte_2x"]:
-        print(
-            f"FAIL: figure-7 sweep speedup {sweep_speedup:.2f}x < "
-            f"{SWEEP_TARGET_SPEEDUP:.0f}x target",
-            file=sys.stderr,
-        )
-        return 1
-    if not batch_identical:
-        print(
-            f"FAIL: figure-7 batch results differ from the serial loop "
-            f"({serial_digest} vs {batch_digest})",
-            file=sys.stderr,
-        )
-        return 1
-    if batch_speedup < BATCH_FLOOR_SPEEDUP:
-        print(
-            f"FAIL: figure-7 batch speedup {batch_speedup:.2f}x < "
-            f"{BATCH_FLOOR_SPEEDUP:.0f}x regression floor",
-            file=sys.stderr,
-        )
-        return 1
-    if batch_speedup < BATCH_TARGET_SPEEDUP:
-        print(
-            f"WARN: figure-7 batch speedup {batch_speedup:.2f}x < "
-            f"{BATCH_TARGET_SPEEDUP:.0f}x target",
-            file=sys.stderr,
-        )
-    if not payload["meets_target"]["figure4_speedup_gte_5x"]:
-        print(
-            f"FAIL: figure-4 speedup "
-            f"{sections['figure4']['speedup']:.2f}x < "
-            f"{FIG4_TARGET_SPEEDUP:.0f}x target",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
+    # Every gate is evaluated and reported before the exit status is
+    # decided, so one failing gate never hides another.  A WARN gate
+    # reports a missed target without failing the run.
+    meets = payload["meets_target"]
+    gates = [
+        ("FAIL", "tracer overhead", trace_overhead >= TRACE_OVERHEAD_LIMIT,
+         f"tracer overhead {trace_overhead * 100.0:.1f}% >= "
+         f"{TRACE_OVERHEAD_LIMIT * 100.0:.0f}% target "
+         f"(median of {overhead_rounds} rotated rounds)"),
+        ("FAIL", "faults-off overhead",
+         faults_overhead >= FAULTS_OVERHEAD_LIMIT,
+         f"faults-off overhead {faults_overhead * 100.0:.1f}% >= "
+         f"{FAULTS_OVERHEAD_LIMIT * 100.0:.0f}% target "
+         f"(median of {overhead_rounds} rotated rounds)"),
+        ("FAIL", "load replay", not load_identical,
+         f"load-engine replay differs "
+         f"({load_result.digest()} vs {load_replay.digest()})"),
+        ("FAIL", "protection-off load digest", not load_digest_pinned,
+         f"protection-off load digest moved "
+         f"({load_result.digest()} vs pinned "
+         f"{LOAD_PROTECTION_OFF_DIGEST}) — the overload layer "
+         f"must not perturb the unprotected engine"),
+        ("FAIL", "load engine floor", load_eps < LOAD_FLOOR_EVENTS_PER_S,
+         f"load engine {load_eps:,.0f} events/s < "
+         f"{LOAD_FLOOR_EVENTS_PER_S:,.0f} regression floor"),
+        ("WARN", "load engine target", load_eps < LOAD_TARGET_EVENTS_PER_S,
+         f"load engine {load_eps:,.0f} events/s < "
+         f"{LOAD_TARGET_EVENTS_PER_S:,.0f} target"),
+        ("FAIL", "indexed-stream replay", not streams["byte_identical"],
+         "indexed-stream replay differs from the reference loop"),
+        ("FAIL", "indexed-stream speedup",
+         streams["min_speedup"] < STREAMS_TARGET_SPEEDUP,
+         f"indexed-stream replay speedup "
+         f"{streams['min_speedup']:.1f}x < "
+         f"{STREAMS_TARGET_SPEEDUP:.0f}x target"),
+        ("FAIL", "modern calibration parity",
+         not meets["modern_calibration_within_1e-9"],
+         f"modern calibration tables differ between scalar and "
+         f"fast beyond {MODERN_PARITY_REL:.0e} relative "
+         f"(worst {modern['worst_rel_diff']:.1e})"),
+        ("FAIL", "modern calibration speedup",
+         modern["min_speedup"] < MODERN_TARGET_SPEEDUP,
+         f"modern calibration speedup "
+         f"{modern['min_speedup']:.2f}x < "
+         f"{MODERN_TARGET_SPEEDUP:.0f}x target"),
+        ("FAIL", "figure-4 parity", bool(mismatches),
+         f"{len(mismatches)} scalar/fast figure-4 mismatches"),
+        ("FAIL", "figure-7 sweep parity", not sweep_identical,
+         f"figure-7 sweep results differ between serial and "
+         f"{SWEEP_WORKERS}-worker execution "
+         f"({serial_digest} vs {parallel_digest})"),
+        ("FAIL", "figure-7 sweep speedup",
+         not meets["figure7_sweep_speedup_gte_2x"],
+         f"figure-7 sweep speedup {sweep_speedup:.2f}x < "
+         f"{SWEEP_TARGET_SPEEDUP:.0f}x target"),
+        ("FAIL", "figure-7 batch parity", not batch_identical,
+         f"figure-7 batch results differ from the serial loop "
+         f"({serial_digest} vs {batch_digest})"),
+        ("FAIL", "figure-7 batch floor", batch_speedup < BATCH_FLOOR_SPEEDUP,
+         f"figure-7 batch speedup {batch_speedup:.2f}x < "
+         f"{BATCH_FLOOR_SPEEDUP:.0f}x regression floor"),
+        ("WARN", "figure-7 batch target", batch_speedup < BATCH_TARGET_SPEEDUP,
+         f"figure-7 batch speedup {batch_speedup:.2f}x < "
+         f"{BATCH_TARGET_SPEEDUP:.0f}x target"),
+        ("FAIL", "figure-4 speedup", not meets["figure4_speedup_gte_5x"],
+         f"figure-4 speedup "
+         f"{sections['figure4']['speedup']:.2f}x < "
+         f"{FIG4_TARGET_SPEEDUP:.0f}x target"),
+    ]
+    failed = 0
+    for level, name, tripped, message in gates:
+        if tripped:
+            print(f"{level}: {message}", file=sys.stderr)
+            failed += level == "FAIL"
+        else:
+            print(f"ok: {name}", file=sys.stderr)
+    if failed:
+        print(f"{failed} gate(s) failed", file=sys.stderr)
+    return 1 if failed else 0
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -104,7 +104,7 @@ def _deposit_fault(ctx: CoverageContext) -> Optional[str]:
         # Buffer packing falls back to a processor-driven receive
         # (deposit_ok=False) and keeps the same semantics.
         return None
-    if caps.deposit is DepositSupport.ANY or caps.coprocessor_receive:
+    if caps.chained_receiver_available:
         # The chained style can rebuild on the co-processor (or the
         # general engine path degrades rather than disappears).
         return None

@@ -29,7 +29,7 @@ granularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -43,7 +43,7 @@ from typing import (
 )
 
 from ...core.composition import Expr, Par, Seq, Term
-from ...core.operations import CommCapabilities, DepositSupport
+from ...core.operations import CommCapabilities, DepositSupport, chained_receiver
 from ...core.patterns import AccessPattern
 from ..diagnostics import Span
 from ..tree import compute_spans
@@ -345,15 +345,12 @@ def _op_claims(
         return frozenset(exclusive), frozenset(shared)
     if style == "chained":
         exclusive.add(f"node{src}:cpu[send]")
-        uses_deposit = caps.deposit is DepositSupport.ANY or (
-            caps.deposit is DepositSupport.CONTIGUOUS and y.is_contiguous
+        # The receiving engine, or the processor where there is none.
+        receiver = chained_receiver(y, caps)
+        exclusive.add(
+            f"node{dst}:cpu[recv]" if receiver is None
+            else f"node{dst}:{receiver.engine.unit.value}"
         )
-        if uses_deposit:
-            exclusive.add(f"node{dst}:deposit")
-        elif caps.coprocessor_receive:
-            exclusive.add(f"node{dst}:coprocessor")
-        else:
-            exclusive.add(f"node{dst}:cpu[recv]")
         return frozenset(exclusive), frozenset(shared)
     # Buffer packing: the gather always runs on the sender's processor
     # and the scatter on the receiver's; the contiguous middle adds the

@@ -19,10 +19,19 @@ difference between the strategies concrete —
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List
 
-from ..core.operations import CommCapabilities, OperationStyle
+from ..core.operations import (
+    CommCapabilities,
+    OperationStyle,
+    buffer_packing,
+    chained,
+    chained_receiver,
+)
 from ..core.patterns import AccessPattern
+from ..core.resources import NodeRole, ResourceUnit
+from ..core.transfers import BasicTransfer, TransferKind
 
 __all__ = ["emit_pseudocode"]
 
@@ -41,104 +50,72 @@ def _address(pattern: AccessPattern, base: str, index: str = "i") -> str:
     )
 
 
-def _loop(body: List[str], count: str = "n") -> List[str]:
-    lines = [f"for i = 0 .. {count}-1:"]
-    lines.extend(f"    {line}" for line in body)
-    return lines
+def _loop(body: List[str]) -> List[str]:
+    return ["for i = 0 .. n-1:", *(f"    {line}" for line in body)]
 
 
-def _gather_loop(x: AccessPattern) -> List[str]:
-    body = []
-    if x.is_indexed:
-        body.append("idx  <- load X[i]              ; index array read")
-    body.append(f"r1   <- load [{_address(x, 'src')}]")
-    body.append("store [buf + i*8] <- r1        ; pack into buffer")
-    return _loop(body)
-
-
-def _scatter_loop(y: AccessPattern) -> List[str]:
-    body = []
-    if y.is_indexed:
-        body.append("idx  <- load X[i]              ; index array read")
-    body.append("r1   <- load [buf + i*8]       ; unpack from buffer")
-    body.append(f"store [{_address(y, 'dst')}] <- r1")
-    return _loop(body)
-
-
-def _packing_lines(
-    x: AccessPattern, y: AccessPattern, caps: CommCapabilities
+def _index_read(
+    pattern: AccessPattern, note: str = "              ; index array read"
 ) -> List[str]:
-    lines: List[str] = ["; === buffer-packing transfer ==="]
-    need_gather = caps.pack_even_contiguous or not x.is_contiguous
-    need_scatter = caps.pack_even_contiguous or not y.is_contiguous
-
-    lines.append("; -- sender --")
-    if need_gather:
-        lines.append("; gather: read pattern, write contiguous buffer")
-        lines.extend(_gather_loop(x))
-    if caps.dma_send:
-        lines.append("dma_setup(src=buf, len=n*8)    ; fetch-send 1F0")
-        lines.append("dma_start()                     ; kicked at page crossings")
-    else:
-        lines.append("; load-send 1S0: stream the buffer into the NI FIFO")
-        lines.extend(
-            _loop(
-                [
-                    "r1   <- load [buf + i*8]",
-                    "store [NI_FIFO] <- r1          ; fixed port address",
-                ]
-            )
-        )
-
-    lines.append("; -- receiver --")
-    if caps.deposit.value != "none":
-        lines.append("; deposit engine drops the block into rbuf (0D1, no CPU)")
-    else:
-        lines.append("; receive-store 0R1: drain the NI FIFO")
-        lines.extend(
-            _loop(["r1   <- load [NI_FIFO]", "store [rbuf + i*8] <- r1"])
-        )
-    if need_scatter:
-        lines.append("; scatter: read buffer, write pattern")
-        lines.extend(_scatter_loop(y))
-    return lines
+    return [f"idx  <- load X[i]{note}"] if pattern.is_indexed else []
 
 
-def _chained_lines(
-    x: AccessPattern, y: AccessPattern, caps: CommCapabilities
+def _lines(
+    transfer: BasicTransfer, packing: bool, y: AccessPattern, adp: bool
 ) -> List[str]:
-    lines: List[str] = ["; === chained transfer ==="]
-    adp = not (x.is_contiguous and y.is_contiguous)
-    lines.append("; -- sender: read home pattern, store into the remote window --")
-    body = []
-    if x.is_indexed:
-        body.append("idx  <- load X[i]              ; index array read")
-    body.append(f"r1   <- load [{_address(x, 'src')}]")
-    if adp:
-        body.append(
+    """The code one basic transfer of ``xQy`` becomes."""
+    kind, engine = transfer.kind, transfer.engine
+    read, write = transfer.read, transfer.write
+    if kind is TransferKind.COPY and engine.role is NodeRole.SENDER:
+        return ["; gather: read pattern, write contiguous buffer"] + _loop(
+            _index_read(read) + [
+                f"r1   <- load [{_address(read, 'src')}]",
+                "store [buf + i*8] <- r1        ; pack into buffer",
+            ]
+        )
+    if kind is TransferKind.COPY:
+        return ["; scatter: read buffer, write pattern"] + _loop(
+            _index_read(write) + [
+                "r1   <- load [buf + i*8]       ; unpack from buffer",
+                f"store [{_address(write, 'dst')}] <- r1",
+            ]
+        )
+    if kind is TransferKind.FETCH_SEND:
+        return [
+            "dma_setup(src=buf, len=n*8)    ; fetch-send 1F0",
+            "dma_start()                     ; kicked at page crossings",
+        ]
+    if kind is TransferKind.LOAD_SEND and packing:
+        return ["; load-send 1S0: stream the buffer into the NI FIFO"] + _loop(
+            [
+                "r1   <- load [buf + i*8]",
+                "store [NI_FIFO] <- r1          ; fixed port address",
+            ]
+        )
+    if kind is TransferKind.LOAD_SEND:
+        store = (
             f"store [{_address(y, 'ANNEX')}] <- r1"
             "  ; address rides with the data (Nadp)"
+            if adp
+            else "store [ANNEX + i*8] <- r1      ; block framing (Nd)"
         )
-    else:
-        body.append("store [ANNEX + i*8] <- r1      ; block framing (Nd)")
-    lines.extend(_loop(body))
-
-    lines.append("; -- receiver --")
-    if caps.deposit.value == "any" or (
-        caps.deposit.value == "contiguous" and y.is_contiguous
-    ):
-        lines.append("; deposit engine scatters address-data pairs (0Dy, no CPU)")
-    elif caps.coprocessor_receive:
-        lines.append("; co-processor runs the receive-store loop (0Ry):")
-        body = []
-        if y.is_indexed:
-            body.append("idx  <- load X[i]")
-        body.append("r1   <- load [NI_FIFO]")
-        body.append(f"store [{_address(y, 'dst')}] <- r1")
-        lines.extend(_loop(body))
-    else:
-        lines.append("; (no background receiver: chained infeasible)")
-    return lines
+        return _loop(
+            _index_read(read) + [f"r1   <- load [{_address(read, 'src')}]", store]
+        )
+    if kind is TransferKind.RECEIVE_DEPOSIT and packing:
+        return ["; deposit engine drops the block into rbuf (0D1, no CPU)"]
+    if kind is TransferKind.RECEIVE_DEPOSIT:
+        return ["; deposit engine scatters address-data pairs (0Dy, no CPU)"]
+    if engine.unit is ResourceUnit.COPROCESSOR:
+        return ["; co-processor runs the receive-store loop (0Ry):"] + _loop(
+            _index_read(write, "") + [
+                "r1   <- load [NI_FIFO]",
+                f"store [{_address(write, 'dst')}] <- r1",
+            ]
+        )
+    return ["; receive-store 0R1: drain the NI FIFO"] + _loop(
+        ["r1   <- load [NI_FIFO]", "store [rbuf + i*8] <- r1"]
+    )
 
 
 def emit_pseudocode(
@@ -147,9 +124,40 @@ def emit_pseudocode(
     style: OperationStyle,
     caps: CommCapabilities,
 ) -> str:
-    """Render the inner loops a compiler would emit for ``xQy``."""
-    if style is OperationStyle.BUFFER_PACKING:
-        lines = _packing_lines(x, y, caps)
+    """Render the inner loops a compiler would emit for ``xQy``.
+
+    The code walks the operation the model builds
+    (:func:`~repro.core.operations.buffer_packing` or
+    :func:`~repro.core.operations.chained`): each basic transfer
+    becomes its loop or engine setup, sender side first.  A chained
+    transfer with no background receiver still shows its sender, which
+    does not depend on the receiver, and says the receiver is missing.
+    """
+    packing = style is OperationStyle.BUFFER_PACKING
+    # A chained sender does not depend on the receiver: with none, take
+    # it from the co-processor variant and say the receiver is missing.
+    missing = not packing and chained_receiver(y, caps) is None
+    if packing:
+        lines = ["; === buffer-packing transfer ===", "; -- sender --"]
+        expr = buffer_packing(x, y, caps)
     else:
-        lines = _chained_lines(x, y, caps)
+        lines = [
+            "; === chained transfer ===",
+            "; -- sender: read home pattern, store into the remote window --",
+        ]
+        expr = chained(
+            x, y, replace(caps, coprocessor_receive=True) if missing else caps
+        )
+    terms = list(expr.terms())
+    adp = any(t.kind is TransferKind.NETWORK_ADP for t in terms)
+    sides = {NodeRole.SENDER: [], NodeRole.RECEIVER: []}
+    for transfer in terms:
+        if not transfer.kind.is_network:
+            sides[transfer.engine.role].extend(_lines(transfer, packing, y, adp))
+    lines.extend(sides[NodeRole.SENDER])
+    lines.append("; -- receiver --")
+    if missing:
+        lines.append("; (no background receiver: chained infeasible)")
+    else:
+        lines.extend(sides[NodeRole.RECEIVER])
     return "\n".join(lines)

@@ -306,19 +306,6 @@ def advise_many(
 # -- vectorized stage pipelines ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _PhaseStructure:
-    """Shared structure of one phase across a lane group.
-
-    ``resource_slots[i]`` maps stage ``i`` to a dense resource index
-    (first-occurrence order), so stages sharing a slot serialize the
-    way same-named resources do in the scalar pipeline.
-    """
-
-    chunk_bytes: int
-    resource_slots: Tuple[int, ...]
-
-
 def solve_pipeline_group(
     nbytes: int,
     structures: Sequence[Tuple[int, Tuple[int, ...]]],

@@ -32,13 +32,15 @@ features so the builders stay machine-independent.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from .composition import Expr, par, seq
 from .errors import CompositionError
-from .patterns import CONTIGUOUS, AccessPattern
+from .patterns import CONTIGUOUS, INDEXED, AccessPattern
 from .resources import NodeRole
 from .transfers import (
+    BasicTransfer,
     copy,
     fetch_send,
     load_send,
@@ -54,6 +56,7 @@ __all__ = [
     "OperationStyle",
     "buffer_packing",
     "chained",
+    "chained_receiver",
 ]
 
 
@@ -93,7 +96,12 @@ class CommCapabilities:
 
     @property
     def chained_receiver_available(self) -> bool:
-        return self.deposit is DepositSupport.ANY or self.coprocessor_receive
+        """Whether a chained transfer has a receiver for every pattern."""
+        return chained_receiver(INDEXED, self) is not None
+
+    def without_deposit(self) -> "CommCapabilities":
+        """These capabilities with the deposit engine out of service."""
+        return replace(self, deposit=DepositSupport.NONE)
 
 
 class OperationStyle(enum.Enum):
@@ -101,16 +109,6 @@ class OperationStyle(enum.Enum):
 
     BUFFER_PACKING = "buffer-packing"
     CHAINED = "chained"
-
-
-def _packing_middle(caps: CommCapabilities) -> Expr:
-    """The contiguous-block network stage of a buffer-packing transfer."""
-    sender = fetch_send(CONTIGUOUS) if caps.dma_send else load_send(CONTIGUOUS)
-    if caps.deposit in (DepositSupport.ANY, DepositSupport.CONTIGUOUS):
-        receiver = receive_deposit(CONTIGUOUS)
-    else:
-        receiver = receive_store(CONTIGUOUS)
-    return par(sender, network_data(), receiver)
 
 
 def buffer_packing(
@@ -126,22 +124,43 @@ def buffer_packing(
     """
     if x.is_fixed or y.is_fixed:
         raise CompositionError("xQy patterns must address memory, not a FIFO")
-    middle = _packing_middle(caps)
-    need_gather = caps.pack_even_contiguous or not x.is_contiguous
-    need_scatter = caps.pack_even_contiguous or not y.is_contiguous
-
-    parts = []
-    if need_gather:
-        parts.append(copy(x, CONTIGUOUS, role=NodeRole.SENDER))
-    if need_scatter and caps.overlap_unpack:
-        parts.append(par(middle, copy(CONTIGUOUS, y, role=NodeRole.RECEIVER)))
+    # The contiguous block crosses the data-only network.
+    sender = fetch_send(CONTIGUOUS) if caps.dma_send else load_send(CONTIGUOUS)
+    if caps.deposit is DepositSupport.NONE:
+        receiver = receive_store(CONTIGUOUS)
     else:
-        parts.append(middle)
-        if need_scatter:
-            parts.append(copy(CONTIGUOUS, y, role=NodeRole.RECEIVER))
-    if len(parts) == 1:
-        return parts[0]
-    return seq(*parts)
+        receiver = receive_deposit(CONTIGUOUS)
+    middle = par(sender, network_data(), receiver)
+    parts = []
+    if caps.pack_even_contiguous or not x.is_contiguous:
+        parts.append(copy(x, CONTIGUOUS, role=NodeRole.SENDER))
+    scatter = []
+    if caps.pack_even_contiguous or not y.is_contiguous:
+        scatter.append(copy(CONTIGUOUS, y, role=NodeRole.RECEIVER))
+    if scatter and caps.overlap_unpack:
+        parts.append(par(middle, *scatter))
+    else:
+        parts.extend((middle, *scatter))
+    return parts[0] if len(parts) == 1 else seq(*parts)
+
+
+def chained_receiver(
+    y: AccessPattern, caps: CommCapabilities
+) -> Optional[BasicTransfer]:
+    """The background receiver a chained transfer writes ``y`` with.
+
+    A deposit engine that handles ``y``, else the co-processor's
+    receive-store; ``None`` when the machine has neither.  Every layer
+    that needs the chained receiver (the runtime, the code generator,
+    the plan verifier) reads it from here or from :func:`chained`.
+    """
+    if caps.deposit is DepositSupport.ANY or (
+        caps.deposit is DepositSupport.CONTIGUOUS and y.is_contiguous
+    ):
+        return receive_deposit(y)
+    if caps.coprocessor_receive:
+        return receive_store(y, coprocessor=True)
+    return None
 
 
 def chained(
@@ -158,19 +177,10 @@ def chained(
     """
     if x.is_fixed or y.is_fixed:
         raise CompositionError("xQy patterns must address memory, not a FIFO")
-    contiguous_both = x.is_contiguous and y.is_contiguous
-    if contiguous_both:
-        network = network_data()
-    else:
-        network = network_adp()
-
-    if caps.deposit is DepositSupport.ANY:
-        receiver = receive_deposit(y)
-    elif caps.deposit is DepositSupport.CONTIGUOUS and y.is_contiguous:
-        receiver = receive_deposit(y)
-    elif caps.coprocessor_receive:
-        receiver = receive_store(y, coprocessor=True)
-    else:
+    contiguous = x.is_contiguous and y.is_contiguous
+    network = network_data() if contiguous else network_adp()
+    receiver = chained_receiver(y, caps)
+    if receiver is None:
         raise CompositionError(
             f"no background receiver for write pattern {y}: chained "
             "transfers need a general deposit engine or a co-processor"

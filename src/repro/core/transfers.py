@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import FrozenSet
+from functools import cached_property
+from typing import FrozenSet, Optional
 
 from .errors import PatternError
 from .patterns import FIXED, AccessPattern
@@ -124,6 +125,15 @@ class BasicTransfer:
         else:  # COPY
             if self.read.is_fixed or self.write.is_fixed:
                 raise PatternError("local copies read and write memory patterns")
+
+    @cached_property
+    def engine(self) -> Optional[Resource]:
+        """The exclusive unit that executes this transfer.
+
+        A processor, co-processor, DMA or deposit engine on the
+        transfer's node role; ``None`` for a network transfer.
+        """
+        return next((r for r in self.uses if r.is_exclusive), None)
 
     @property
     def notation(self) -> str:

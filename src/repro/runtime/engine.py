@@ -24,7 +24,8 @@ that make real measurements land 10-20% under the model (Figures 7/8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from numbers import Integral
 from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
@@ -38,14 +39,17 @@ from typing import (
     Tuple,
 )
 
+from ..core.composition import Expr, Par, Seq
 from ..core.errors import (
     CalibrationError,
     CompositionError,
+    ModelError,
     TransferAbortedError,
 )
-from ..core.operations import DepositSupport, OperationStyle
+from ..core.operations import OperationStyle, buffer_packing, chained, chained_receiver
 from ..core.patterns import CONTIGUOUS, AccessPattern
-from ..core.transfers import TransferKind
+from ..core.resources import NodeRole, ResourceUnit
+from ..core.transfers import BasicTransfer, TransferKind, copy
 from ..faults.degrade import DegradedResult
 from ..faults.policy import recovery_charge
 from ..faults.spec import FaultPlan, current_fault_plan
@@ -68,6 +72,34 @@ __all__ = ["MeasuredTransfer", "CommRuntime", "CPU_CHUNK_OVERHEAD_NS", "measure_
 CPU_CHUNK_OVERHEAD_NS = 1500.0
 
 _FIXED = AccessPattern.fixed()
+
+#: The system-buffer copies a buffered library adds on each side.
+_SYSBUF_SEND = copy(CONTIGUOUS, CONTIGUOUS, role=NodeRole.SENDER)
+_SYSBUF_RECEIVE = copy(CONTIGUOUS, CONTIGUOUS, role=NodeRole.RECEIVER)
+
+#: Stage names of a pipelined phase's transfers, by resource.
+_TRANSFER_STAGES = {
+    "sender_cpu": "send",
+    "sender_dma": "send-dma",
+    "network": "network",
+    "receiver_deposit": "receive-deposit",
+    "receiver_cpu": "receive",
+    "receiver_coproc": "receive-coproc",
+}
+_STAGE_NAMES = {
+    "transfer": _TRANSFER_STAGES,
+    "chained": {**_TRANSFER_STAGES, "receiver_deposit": "deposit"},
+}
+
+
+def _resource(transfer: BasicTransfer) -> str:
+    """The runtime resource a transfer occupies: its unit on its node."""
+    engine = transfer.engine
+    if engine is None:
+        return "network"
+    unit = engine.unit
+    name = "coproc" if unit is ResourceUnit.COPROCESSOR else unit.value
+    return f"{engine.role.value}_{name}"
 
 #: The one fault that forces a fallback path (see ``DegradedResult``).
 _DEPOSIT_FAULT = "deposit-engine-unavailable"
@@ -289,7 +321,7 @@ class CommRuntime:
             applies, if any.
 
     A runtime prices each distinct transfer once: :meth:`transfer`
-    keeps its results,
+    keeps its results, :meth:`_expr` each model expression it lowers,
     :meth:`~repro.runtime.collective.CommunicationStep.signature` keeps
     each step pattern's flow facts here, and
     :func:`~repro.runtime.collectives.run_collective` each collective's
@@ -334,11 +366,9 @@ class CommRuntime:
             Tuple, Tuple[float, int, Optional[int], Optional[int]]
         ] = {}
         self._lowerings: Dict[Tuple, Tuple["CollectiveRound", ...]] = {}
+        self._exprs: Dict[Tuple, Expr] = {}
 
     # -- rate lookups -----------------------------------------------------
-
-    def _rate(self, kind: TransferKind, read, write) -> float:
-        return self.table.lookup_kind(kind, read, write)
 
     def _network_rate(self, adp: bool, congestion: float) -> float:
         from ..netsim.network import FramingMode
@@ -349,175 +379,133 @@ class CommRuntime:
 
     def _send_rate(self, read: AccessPattern) -> float:
         scale = self.machine.quirks.send_rate_scale
-        return self._rate(TransferKind.LOAD_SEND, read, _FIXED) * scale
+        return self.table.lookup_kind(TransferKind.LOAD_SEND, read, _FIXED) * scale
 
-    def _cpu_stage(self, name: str, rate: float, resource: str) -> Stage:
-        return Stage(name, rate, resource, chunk_overhead_ns=CPU_CHUNK_OVERHEAD_NS)
-
-    # -- phase construction ---------------------------------------------------
-
-    def _middle_stages(
-        self, congestion: float, deposit_ok: bool = True
-    ) -> List[Stage]:
-        """The contiguous-block hardware path of a packing transfer.
-
-        ``deposit_ok=False`` (an injected deposit-engine fault) lands
-        the receive on the processor instead of the deposit engine.
-        """
-        caps = self.machine.capabilities
-        if caps.dma_send:
-            send = Stage(
-                "send-dma",
-                self._rate(TransferKind.FETCH_SEND, CONTIGUOUS, _FIXED),
-                "sender_dma",
-                startup_ns=self.machine.node.dma.setup_ns,
-            )
-        else:
-            send = self._cpu_stage("send", self._send_rate(CONTIGUOUS), "sender_cpu")
-        network = Stage(
-            "network", self._network_rate(adp=False, congestion=congestion), "network"
-        )
-        if caps.deposit is not DepositSupport.NONE and deposit_ok:
-            receive = Stage(
-                "receive-deposit",
-                self._rate(TransferKind.RECEIVE_DEPOSIT, _FIXED, CONTIGUOUS),
-                "receiver_deposit",
-            )
-        else:
-            receive = self._cpu_stage(
-                "receive", self._receive_store_rate(), "receiver_cpu"
-            )
-        return [send, network, receive]
-
-    def _receive_store_rate(self) -> float:
+    def _receive_store_rate(self, write: AccessPattern) -> float:
         """Processor receive rate, even where the machine never uses one.
 
         Machines whose receives always ride the deposit engine (the
         T3D) have no calibrated ``R`` entry; a processor receive-store
-        is a load-from-network/store loop, so the contiguous copy rate
-        is the honest stand-in when a fault forces one.
+        is a load-from-network/store loop, so the copy rate into the
+        same pattern is the honest stand-in when a fault forces one.
         """
         try:
-            return self._rate(TransferKind.RECEIVE_STORE, _FIXED, CONTIGUOUS)
+            return self.table.lookup_kind(TransferKind.RECEIVE_STORE, _FIXED, write)
         except CalibrationError:
-            return self._rate(TransferKind.COPY, CONTIGUOUS, CONTIGUOUS)
+            return self.table.lookup_kind(TransferKind.COPY, CONTIGUOUS, write)
 
-    def _packing_phases(
+    # -- phase construction ---------------------------------------------------
+
+    def _expr(
         self,
         x: AccessPattern,
         y: AccessPattern,
+        style: OperationStyle,
+        deposit_ok: bool = True,
+    ) -> Expr:
+        """The model's ``xQy`` for what this runtime executes.
+
+        The library decides whether contiguous data is packed; the
+        scatter never overlaps the wire, as every library unpacks at
+        message granularity; a deposit fault takes the engine away.
+        Kept per pattern pair, style and deposit state.
+        """
+        key = (x, y, style, deposit_ok)
+        kept = self._exprs.get(key)
+        if kept is not None:
+            return kept
+        caps = replace(
+            self.machine.capabilities,
+            pack_even_contiguous=self.library.pack_even_contiguous,
+            overlap_unpack=False,
+        )
+        if not deposit_ok:
+            caps = caps.without_deposit()
+        if style is OperationStyle.BUFFER_PACKING:
+            expr = buffer_packing(x, y, caps)
+        elif not self.library.supports_chained:
+            raise CompositionError(
+                f"library {self.library.name!r} has no chained/put-get path"
+            )
+        elif chained_receiver(y, caps) is None:
+            raise CompositionError(
+                f"machine {self.machine.name!r} has no background receiver "
+                f"for pattern {y}"
+            )
+        else:
+            expr = chained(x, y, caps)
+        self._exprs[key] = expr
+        return expr
+
+    def _stage(
+        self, name: str, transfer: BasicTransfer, congestion: float
+    ) -> Stage:
+        """One basic transfer as a stage on the unit that executes it."""
+        kind = transfer.kind
+        resource = _resource(transfer)
+        if kind.is_network:
+            adp = kind is TransferKind.NETWORK_ADP
+            return Stage(name, self._network_rate(adp, congestion), resource)
+        if kind is TransferKind.LOAD_SEND:
+            rate = self._send_rate(transfer.read)
+        elif kind is TransferKind.RECEIVE_STORE:
+            rate = self._receive_store_rate(transfer.write)
+        else:
+            rate = self.table.lookup_kind(kind, transfer.read, transfer.write)
+        if kind is TransferKind.FETCH_SEND:
+            startup = self.machine.node.dma.setup_ns
+            return Stage(name, rate, resource, startup_ns=startup)
+        if kind.is_background:
+            return Stage(name, rate, resource)
+        return Stage(name, rate, resource, CPU_CHUNK_OVERHEAD_NS)
+
+    def _lower(
+        self,
+        expr: Expr,
+        style: OperationStyle,
         nbytes: int,
         congestion: float,
-        deposit_ok: bool = True,
     ) -> List[_Phase]:
+        """The phases that execute ``expr``.
+
+        ``∘`` gives successive phases: the ``‖`` group streams at the
+        pipeline grain, and the copies on each side of it group into
+        ``pack`` / ``unpack`` at fragment grain.  A buffer-packing
+        library's system-buffer copies (``1C1``) close the sender's
+        copies and open the receiver's.
+        """
         lib = self.library
         fragment = min(nbytes, lib.fragment_bytes)
         stream_chunk = min(
             self.machine.quirks.pipeline_chunk_words * WORD_BYTES, fragment
         )
-        phases: List[_Phase] = []
-
+        packing = style is OperationStyle.BUFFER_PACKING
+        middle_name = "transfer" if packing else "chained"
+        names = _STAGE_NAMES[middle_name]
         pack: List[Stage] = []
-        if lib.pack_even_contiguous or not x.is_contiguous:
-            pack.append(
-                self._cpu_stage(
-                    "gather",
-                    self._rate(TransferKind.COPY, x, CONTIGUOUS),
-                    "sender_cpu",
-                )
-            )
-        if lib.system_buffer_copies >= 1:
-            pack.append(
-                self._cpu_stage(
-                    "sysbuf-send",
-                    self._rate(TransferKind.COPY, CONTIGUOUS, CONTIGUOUS),
-                    "sender_cpu",
-                )
-            )
-        if pack:
-            phases.append(_Phase("pack", tuple(pack), fragment))
-
-        phases.append(
-            _Phase(
-                "transfer",
-                tuple(self._middle_stages(congestion, deposit_ok=deposit_ok)),
-                stream_chunk,
-            )
-        )
-
         unpack: List[Stage] = []
-        if lib.system_buffer_copies >= 2:
-            unpack.append(
-                self._cpu_stage(
-                    "sysbuf-receive",
-                    self._rate(TransferKind.COPY, CONTIGUOUS, CONTIGUOUS),
-                    "receiver_cpu",
+        middle: Tuple[Stage, ...] = ()
+        for part in expr.parts if isinstance(expr, Seq) else (expr,):
+            if isinstance(part, Par):
+                middle = tuple(
+                    self._stage(names[_resource(t)], t, congestion)
+                    for t in part.terms()
                 )
+            elif part.transfer.engine.role is NodeRole.SENDER:
+                pack.append(self._stage("gather", part.transfer, congestion))
+            else:
+                unpack.append(self._stage("scatter", part.transfer, congestion))
+        if packing and lib.system_buffer_copies >= 1:
+            pack.append(self._stage("sysbuf-send", _SYSBUF_SEND, congestion))
+        if packing and lib.system_buffer_copies >= 2:
+            unpack.insert(
+                0, self._stage("sysbuf-receive", _SYSBUF_RECEIVE, congestion)
             )
-        if lib.pack_even_contiguous or not y.is_contiguous:
-            unpack.append(
-                self._cpu_stage(
-                    "scatter",
-                    self._rate(TransferKind.COPY, CONTIGUOUS, y),
-                    "receiver_cpu",
-                )
-            )
+        phases = [_Phase("pack", tuple(pack), fragment)] if pack else []
+        phases.append(_Phase(middle_name, middle, stream_chunk))
         if unpack:
             phases.append(_Phase("unpack", tuple(unpack), fragment))
         return phases
-
-    def _chained_uses_deposit(self, y: AccessPattern) -> bool:
-        """Whether the nominal chained receiver is the deposit engine."""
-        caps = self.machine.capabilities
-        return caps.deposit is DepositSupport.ANY or (
-            caps.deposit is DepositSupport.CONTIGUOUS and y.is_contiguous
-        )
-
-    def _chained_phases(
-        self,
-        x: AccessPattern,
-        y: AccessPattern,
-        nbytes: int,
-        congestion: float,
-        deposit_ok: bool = True,
-    ) -> List[_Phase]:
-        caps = self.machine.capabilities
-        if not self.library.supports_chained:
-            raise CompositionError(
-                f"library {self.library.name!r} has no chained/put-get path"
-            )
-        adp = not (x.is_contiguous and y.is_contiguous)
-        stages = [
-            self._cpu_stage("send", self._send_rate(x), "sender_cpu"),
-            Stage("network", self._network_rate(adp, congestion), "network"),
-        ]
-        if deposit_ok and self._chained_uses_deposit(y):
-            stages.append(
-                Stage(
-                    "deposit",
-                    self._rate(TransferKind.RECEIVE_DEPOSIT, _FIXED, y),
-                    "receiver_deposit",
-                )
-            )
-        elif caps.coprocessor_receive:
-            stages.append(
-                self._cpu_stage(
-                    "receive-coproc",
-                    self._rate(TransferKind.RECEIVE_STORE, _FIXED, y),
-                    "receiver_coproc",
-                )
-            )
-        else:
-            raise CompositionError(
-                f"machine {self.machine.name!r} has no background receiver "
-                f"for pattern {y}"
-            )
-        chunk = min(
-            self.machine.quirks.pipeline_chunk_words * WORD_BYTES,
-            self.library.fragment_bytes,
-            nbytes,
-        )
-        return [_Phase("chained", tuple(stages), chunk)]
 
     def phases(
         self,
@@ -532,22 +520,19 @@ class CommRuntime:
         """The stage pipeline a transfer would execute, without running it.
 
         This is the planner :meth:`transfer` runs, and the static view
-        the plan verifier lowers into its IR: no measurement, fault
-        charging or degradation applied.  ``duplex`` slows every
-        memory-touching stage by the machine's bus-interleave quirk.
-        Raises :class:`CompositionError` exactly when :meth:`transfer`
-        would.
+        the plan verifier lowers into its IR: the model's expression
+        lowered, no measurement, fault charging or degradation applied.
+        ``duplex`` slows every memory-touching stage by the machine's
+        bus-interleave quirk.  Raises :class:`CompositionError` exactly
+        when :meth:`transfer` would.
         """
         if nbytes <= 0:
             raise ValueError(f"need a positive transfer size, got {nbytes}")
         if congestion is None:
             congestion = self.default_congestion
-        build = (
-            self._packing_phases
-            if OperationStyle(style) is OperationStyle.BUFFER_PACKING
-            else self._chained_phases
-        )
-        phases = build(x, y, nbytes, congestion, deposit_ok)
+        style = OperationStyle(style)
+        expr = self._expr(x, y, style, deposit_ok)
+        phases = self._lower(expr, style, nbytes, congestion)
         scale = self.machine.quirks.bus_interleave_scale
         if duplex and scale != 1.0:
             phases = _rescaled(
@@ -575,7 +560,8 @@ class CommRuntime:
 
         Args:
             x / y: Source and destination access patterns.
-            nbytes: Payload size.
+            nbytes: Payload size in bytes, an integer; anything else
+                raises :class:`ModelError`.
             style: Buffer-packing or chained.
             congestion: Network congestion this transfer experiences;
                 defaults to the machine's typical value.
@@ -609,6 +595,10 @@ class CommRuntime:
         rows to replay.  An aborted transfer is never kept, so it
         raises (and traces its abort) on every call.
         """
+        if not isinstance(nbytes, Integral):
+            raise ModelError(
+                f"transfer nbytes must be an integer byte count, got {nbytes!r}"
+            )
         if congestion is None:
             congestion = self.default_congestion
         style = OperationStyle(style)
@@ -625,8 +615,7 @@ class CommRuntime:
         tracer = current_tracer()
         record = tracer is not None
         # The payload's and congestion's types are keyed too: 2 == 2.0,
-        # but a float payload fails where an int one runs, and the
-        # result carries the congestion as given.
+        # and the result carries both as given.
         key = (
             x, y, nbytes, type(nbytes), style, congestion, type(congestion),
             duplex, analyze, plan, src, dst, record,
@@ -670,7 +659,6 @@ class CommRuntime:
         chunk occupancy, which only the trace needs.
         """
         requested = style
-        caps = self.machine.capabilities
         deposit_ok = plan.deposit_available(dst) if plan is not None else True
         # The path a deposit-engine fault forced, if any.
         fallback: Optional[str] = None
@@ -682,7 +670,7 @@ class CommRuntime:
             if (
                 style is OperationStyle.BUFFER_PACKING
                 or deposit_ok
-                or not caps.chained_receiver_available
+                or not self.machine.capabilities.chained_receiver_available
             ):
                 raise
             # Graceful degradation, the centrepiece: the fault took
@@ -693,16 +681,14 @@ class CommRuntime:
                 x, y, nbytes, style, congestion, deposit_ok, duplex
             )
             fallback = "buffer-packing"
-        if fallback is None and not deposit_ok:
+        if fallback is None and not deposit_ok and any(
+            t.kind is TransferKind.RECEIVE_DEPOSIT
+            for t in self._expr(x, y, style).terms()
+        ):
             # Same style, but the fault moved the receive off the
             # deposit engine the nominal plan would have used.
             packing = style is OperationStyle.BUFFER_PACKING
-            if (
-                caps.deposit is not DepositSupport.NONE
-                if packing
-                else self._chained_uses_deposit(y)
-            ):
-                fallback = "receive-store" if packing else "coprocessor-receive"
+            fallback = "receive-store" if packing else "coprocessor-receive"
 
         if plan is not None:
             phases = self._apply_fault_derates(phases, plan, src, dst, ledger)
@@ -797,7 +783,7 @@ class CommRuntime:
         capped = False
         if duplex:
             cap = (
-                self._rate(TransferKind.COPY, CONTIGUOUS, CONTIGUOUS)
+                self.table.lookup_kind(TransferKind.COPY, CONTIGUOUS, CONTIGUOUS)
                 / self.machine.quirks.duplex_penalty
             )
             if mbps > cap:
@@ -859,7 +845,10 @@ class CommRuntime:
             phase_ns=ledger.phase_ns(),
             resource_busy_ns=ledger.resource_busy_ns(),
             memory_capped=capped,
-            diagnostics=self._analyze(x, y, style, duplex) if analyze else (),
+            diagnostics=(
+                self._analyze(self._expr(x, y, style, deposit_ok), duplex)
+                if analyze else ()
+            ),
             degraded=degraded,
             retries=retries,
             ledger=tuple(ledger),
@@ -935,28 +924,11 @@ class CommRuntime:
         route = plan.wrap_topology(topology).route(src, dst)
         return plan.route_derate(route)
 
-    def _analyze(
-        self,
-        x: AccessPattern,
-        y: AccessPattern,
-        style: OperationStyle,
-        duplex: bool,
-    ) -> Tuple["Diagnostic", ...]:
-        """Lint the model-level composition behind one runtime transfer."""
+    def _analyze(self, expr: Expr, duplex: bool) -> Tuple["Diagnostic", ...]:
+        """Lint the model-level composition one runtime transfer ran."""
         from ..analysis import analyze as run_linter
         from ..core.constraints import duplex_memory_constraint
-        from ..core.operations import buffer_packing, chained
 
-        builder = (
-            buffer_packing if style is OperationStyle.BUFFER_PACKING else chained
-        )
-        try:
-            expr = builder(x, y, self.machine.capabilities)
-        except CompositionError:
-            # The phase builders have already accepted this transfer
-            # (e.g. a co-processor receive the expression algebra lacks
-            # a builder for); nothing model-level to lint.
-            return ()
         constraints = (duplex_memory_constraint(),) if duplex else ()
         return tuple(
             run_linter(

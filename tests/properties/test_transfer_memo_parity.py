@@ -109,7 +109,7 @@ def _call(runtime, call):
                         hierarchical=call["hierarchical"],
                     )
                     ledgers = [step.sample.ledger for step in value.rounds]
-            except (ModelError, TypeError) as exc:
+            except ModelError as exc:
                 error = (type(exc), str(exc))
     payload = None
     if tracer is not None:

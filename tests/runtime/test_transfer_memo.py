@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.core.errors import TransferAbortedError
+from repro.core.errors import ModelError, TransferAbortedError
 from repro.core.operations import OperationStyle
 from repro.core.patterns import CONTIGUOUS, strided
 from repro.faults import FaultPlan, injecting
@@ -100,9 +100,9 @@ def test_the_payload_type_is_keyed():
     """4096 == 4096.0, but a float payload fails on a fresh runtime."""
     runtime = _runtime()
     _transfer(runtime, nbytes=4096)
-    with pytest.raises(TypeError) as kept:
+    with pytest.raises(ModelError, match="nbytes") as kept:
         _transfer(runtime, nbytes=4096.0)
-    with pytest.raises(TypeError) as fresh:
+    with pytest.raises(ModelError, match="nbytes") as fresh:
         _transfer(_runtime(), nbytes=4096.0)
     assert str(kept.value) == str(fresh.value)
 
