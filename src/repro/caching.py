@@ -11,12 +11,15 @@ tables at two levels:
   engine selection, and the engine semantic versions;
 * an optional **on-disk layer** under ``.repro-cache/`` (override with
   the ``REPRO_CACHE_DIR`` environment variable) holding one JSON table
-  per key.  A table is written when it is made and rewritten
-  (:meth:`CalibrationCache.publish`) each time it measures new
-  entries, so a file holds the entries read so far and repeat runs in
-  fresh processes simulate only what no earlier run read.  Concurrent
-  writers replace the file whole; a lost update costs a
-  re-measurement, never a wrong value.
+  per key.  A table is written when it is made.  When it measures new
+  entries it is only marked for rewriting
+  (:meth:`CalibrationCache.publish`), and :meth:`CalibrationCache.flush`
+  rewrites each marked file once: at the end of every sweep run
+  (:func:`~repro.sweep.worker.run_cells`), on :meth:`~CalibrationCache.clear`,
+  when the LRU evicts the table, and at process exit.  So a file holds
+  the entries read so far and repeat runs in fresh processes simulate
+  only what no earlier run read.  Concurrent writers replace the file
+  whole; a lost update costs a re-measurement, never a wrong value.
 
 Invalidation is by key construction, never by mtime: any change to the
 node parameters or to the engines' semantic versions
@@ -31,13 +34,14 @@ Set ``REPRO_CACHE=off`` to disable both layers process-wide.
 
 from __future__ import annotations
 
+import atexit
 import dataclasses
 import json
 import os
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from .contract import digest
 from .core.calibration import ThroughputTable
@@ -120,6 +124,9 @@ class CalibrationCache:
         self.use_disk = use_disk
         self._directory = directory
         self._memory: "OrderedDict[str, ThroughputTable]" = OrderedDict()
+        # Tables published since the last flush, by key and by the file
+        # they were published to (the directory may change in between).
+        self._dirty: Dict[Tuple[str, Path], ThroughputTable] = {}
         self.memory_hits = 0
         self.disk_hits = 0
         self.misses = 0
@@ -175,22 +182,45 @@ class CalibrationCache:
         return None
 
     def store(self, key: str, table: ThroughputTable) -> None:
-        """Insert a table under ``key`` in both layers."""
+        """Insert a table under ``key`` in both layers, writing its disk
+        file now."""
         if _caching_disabled():
             return
         self._trace("store")
         self._remember(key, table)
-        self.publish(key, table)
+        if self.use_disk:
+            path = self._path(key)
+            self._dirty.pop((key, path), None)
+            self._write(path, table)
 
     def publish(self, key: str, table: ThroughputTable) -> None:
-        """Rewrite ``key``'s disk file with the entries ``table`` holds.
+        """Mark ``key``'s disk file for rewriting with the entries
+        ``table`` holds.
 
-        Measures nothing: a deferred table's unread entries stay out of
-        the file.
+        The file, resolved now, is written by the next :meth:`flush`:
+        at the end of a sweep run, on :meth:`clear`, when the LRU
+        evicts the table, or at process exit.  Measures nothing: a
+        deferred table's unread entries stay out of the file.
         """
         if _caching_disabled() or not self.use_disk:
             return
-        path = self._path(key)
+        self._dirty[(key, self._path(key))] = table
+
+    def flush(self) -> None:
+        """Write every table published since the last flush, once each."""
+        dirty, self._dirty = self._dirty, {}
+        for (__, path), table in dirty.items():
+            self._rewrite(path, table)
+
+    def _rewrite(self, path: Path, table: ThroughputTable) -> None:
+        """Write a published table, unless its directory was removed
+        after the table was stored there: a flush at exit must not
+        bring back a cache directory its owner deleted."""
+        if path.parent.is_dir():
+            self._write(path, table)
+
+    def _write(self, path: Path, table: ThroughputTable) -> None:
+        """Replace ``path`` with the entries ``table`` holds."""
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             # Atomic publish so concurrent processes never read a
@@ -212,10 +242,14 @@ class CalibrationCache:
         self._memory[key] = table
         self._memory.move_to_end(key)
         while len(self._memory) > self.max_entries:
-            self._memory.popitem(last=False)
+            evicted, __ = self._memory.popitem(last=False)
+            for dirty in [k for k in self._dirty if k[0] == evicted]:
+                self._rewrite(dirty[1], self._dirty.pop(dirty))
 
     def clear(self, disk: bool = False) -> None:
-        """Drop the memory layer; with ``disk=True`` also delete files."""
+        """Flush, then drop the memory layer; with ``disk=True`` also
+        delete files."""
+        self.flush()
         self._memory.clear()
         if disk:
             tables = self.directory / "tables"
@@ -231,6 +265,7 @@ class CalibrationCache:
 
 
 _DEFAULT_CACHE = CalibrationCache()
+atexit.register(_DEFAULT_CACHE.flush)
 
 
 def default_cache() -> CalibrationCache:

@@ -16,6 +16,8 @@ from __future__ import annotations
 import os
 from typing import Callable, Dict, Optional, Tuple
 
+import numpy as np
+
 from ..core.patterns import AccessPattern
 from ..trace.tracer import current_tracer
 from .config import NodeConfig
@@ -83,7 +85,10 @@ class NodeMemorySystem:
     deterministic functions of ``(config, nwords, index_run,
     occupancy_scale, pattern)``, so re-measuring the same transfer is a
     dictionary lookup.  ``last_engine`` reports which engine produced
-    the most recent (uncached) result.
+    the most recent (uncached) result.  The word offsets of each indexed
+    stream are kept too, read-only and by seed (``nwords`` and
+    ``index_run`` are fixed per instance), so the kernels reading ``ω``
+    on one side share one draw of it.
     """
 
     def __init__(
@@ -109,6 +114,7 @@ class NodeMemorySystem:
         # Kernel keys the fast path has already rejected, so ``auto``
         # mode neither re-attempts them nor re-counts the fallback.
         self._fast_unsupported: Dict[Tuple, bool] = {}
+        self._indexed_offsets: Dict[int, np.ndarray] = {}
 
     def _engine(self) -> MemoryEngine:
         return MemoryEngine(self.config, occupancy_scale=self.occupancy_scale)
@@ -212,7 +218,12 @@ class NodeMemorySystem:
         self, pattern: AccessPattern, base: int = 0, seed: int = 12345
     ) -> AccessStream:
         return make_stream(
-            pattern, self.nwords, base=base, seed=seed, index_run=self.index_run
+            pattern,
+            self.nwords,
+            base=base,
+            seed=seed,
+            index_run=self.index_run,
+            offsets_by_seed=self._indexed_offsets,
         )
 
     # -- kernel measurements (full results) ---------------------------------

@@ -16,7 +16,7 @@ measurements are "highly accurate and consistently reproducible".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -231,11 +231,19 @@ def make_stream(
     base: int = 0,
     seed: int = 12345,
     index_run: int = DEFAULT_INDEX_RUN,
+    offsets_by_seed: Optional[Dict[int, np.ndarray]] = None,
 ) -> AccessStream:
     """Generate the address stream for ``nwords`` accesses of ``pattern``.
 
     Fixed patterns (NI ports) have no memory addresses and raise; the
     engine handles those ends directly.
+
+    ``offsets_by_seed``, when given, keeps the word offsets of indexed
+    streams by seed: a caller whose ``nwords`` and ``index_run`` never
+    change passes the same dictionary each time, and an indexed stream
+    with a seed already in it reuses those offsets (read-only, and as
+    32-bit ints when they fit, half the memory) instead of drawing them
+    again.
     """
     if pattern.kind is PatternKind.FIXED:
         raise ValueError("fixed patterns address a port, not memory")
@@ -257,14 +265,22 @@ def make_stream(
 
     # Indexed: data addresses from the locality model, plus the index
     # array itself, read contiguously as 4-byte elements.
-    offsets = _indexed_word_offsets(nwords, index_run, seed)
+    offsets = None if offsets_by_seed is None else offsets_by_seed.get(seed)
+    if offsets is None:
+        offsets = _indexed_word_offsets(nwords, index_run, seed)
+        if offsets_by_seed is not None:
+            # Every offset is below max(4 * nwords, one region).
+            if 4 * nwords < 2**31:
+                offsets = offsets.astype(np.int32)
+            offsets.setflags(write=False)
+            offsets_by_seed[seed] = offsets
+    addresses = np.multiply(offsets, WORD_BYTES, dtype=np.int64)
+    addresses += base
     index_addresses = np.arange(nwords, dtype=np.int64) * 4
     span = int(offsets.max() + 1) * WORD_BYTES
     # Keep the index array in a disjoint region, offset by half a typical
     # DRAM page so it tends to land in its own bank on interleaved memory.
     index_base = base + span + (1 << 20) + 128
     return AccessStream(
-        pattern,
-        base + offsets * WORD_BYTES,
-        index_addresses=index_base + index_addresses,
+        pattern, addresses, index_addresses=index_base + index_addresses
     )

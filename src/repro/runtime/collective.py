@@ -183,7 +183,9 @@ class CommunicationStep:
                 busiest = received
         return busiest
 
-    def signature(self, plan: Optional[FaultPlan]) -> Signature:
+    def signature(
+        self, plan: Optional[FaultPlan], pattern: Optional[int] = None
+    ) -> Signature:
         """What this step's price depends on under ``plan``.
 
         With the runtime, the access patterns, the style, the fault
@@ -194,9 +196,14 @@ class CommunicationStep:
 
         Everything but the payload is a fact of the flow pattern, kept
         on the runtime: a pattern priced at several payloads, or in
-        several collectives, is scanned once.
+        several collectives, is scanned once.  ``pattern`` is the
+        runtime's id for this step's flows
+        (:meth:`~repro.runtime.engine.CommRuntime._pattern`), when the
+        caller has it already.
         """
-        key = (tuple(self.flows), plan, self.scheduled, self.schedule_slack)
+        if pattern is None:
+            pattern = self.runtime._pattern(tuple(self.flows))
+        key = (pattern, plan, self.scheduled, self.schedule_slack)
         facts = self.runtime._flow_facts.get(key)
         if facts is None:
             src: Optional[int] = None

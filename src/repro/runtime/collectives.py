@@ -240,14 +240,21 @@ def run_collective(
     """
     # The lowering is a pure function of its arguments, kept on the
     # runtime beside the flow facts it feeds (the argument types too:
-    # a float payload lowers to float chunks).  Invalid arguments raise
+    # a float payload lowers to float chunks), with each round's key:
+    # its flow pattern's id and its payload.  Invalid arguments raise
     # before anything is kept, so they raise on every call.
     lowering = (op, algorithm, nodes, nbytes, type(nodes), type(nbytes))
-    rounds = runtime._lowerings.get(lowering)
-    if rounds is None:
-        rounds = runtime._lowerings[lowering] = collective_rounds(
-            op, algorithm, nodes, nbytes
+    lowered = runtime._lowerings.get(lowering)
+    if lowered is None:
+        built = collective_rounds(op, algorithm, nodes, nbytes)
+        lowered = runtime._lowerings[lowering] = (
+            built,
+            tuple(
+                (runtime._pattern(each.flows), each.bytes_per_flow)
+                for each in built
+            ),
         )
+    rounds, round_keys = lowered
     read = AccessPattern.parse(x)
     write = AccessPattern.parse(y)
     machine = runtime.machine
@@ -274,18 +281,19 @@ def run_collective(
 
     # The round memo.  Within this call the runtime, patterns, style,
     # fault plan and tracer are fixed, so a round's price depends only
-    # on its step's signature: each distinct round is signed once, each
-    # distinct signature priced once, and a repeat replays the priced
-    # round (its trace included).  The memo dies with the call; the
-    # flow facts and transfers behind a price are kept on the runtime,
-    # so a later call prices a round it has seen without re-running it.
+    # on its step's signature: each distinct round (by its key) is
+    # signed once, each distinct signature priced once, and a repeat
+    # replays the priced round (its trace included).  The memo dies
+    # with the call; the flow facts and transfers behind a price are
+    # kept on the runtime, so a later call prices a round it has seen
+    # without re-running it.
     plan: Optional[FaultPlan] = None
-    signatures: Dict[CollectiveRound, Signature] = {}
+    signatures: Dict[Tuple[int, int], Signature] = {}
     priced: Dict[Signature, Tuple[CommunicationStep, StepResult]] = {}
     results = []
     round_ns = []
-    for current in rounds:
-        signature = signatures.get(current)
+    for current, round_key in zip(rounds, round_keys):
+        signature = signatures.get(round_key)
         replay = True
         if signature is None:
             step = CommunicationStep(
@@ -298,7 +306,9 @@ def run_collective(
             if not signatures:
                 # The first round resolves the call's fault plan.
                 plan = step._fault_plan()
-            signature = signatures[current] = step.signature(plan)
+            signature = signatures[round_key] = step.signature(
+                plan, pattern=round_key[0]
+            )
             if signature not in priced:
                 priced[signature] = (step, step.price(style, signature))
                 replay = False

@@ -323,11 +323,13 @@ class CommRuntime:
     A runtime prices each distinct transfer once: :meth:`transfer`
     keeps its results, :meth:`_expr` each model expression it lowers,
     :meth:`~repro.runtime.collective.CommunicationStep.signature` keeps
-    each step pattern's flow facts here, and
+    each step pattern's flow facts here, keyed on the pattern's id
+    (:meth:`_pattern`), and
     :func:`~repro.runtime.collectives.run_collective` each collective's
-    lowered rounds.  The memos are pure functions of their keys, given
-    the machine, library and table the runtime was built with, and die
-    with the runtime, so a fresh runtime is a cold one.
+    lowered rounds with each round's key.  The memos are pure functions
+    of their keys, given the machine, library and table the runtime was
+    built with, and die with the runtime, so a fresh runtime is a cold
+    one.
     """
 
     def __init__(
@@ -365,8 +367,18 @@ class CommRuntime:
         self._flow_facts: Dict[
             Tuple, Tuple[float, int, Optional[int], Optional[int]]
         ] = {}
-        self._lowerings: Dict[Tuple, Tuple["CollectiveRound", ...]] = {}
+        self._lowerings: Dict[
+            Tuple,
+            Tuple[Tuple["CollectiveRound", ...], Tuple[Tuple[int, int], ...]],
+        ] = {}
+        self._patterns: Dict[Tuple[Tuple[int, int], ...], int] = {}
         self._exprs: Dict[Tuple, Expr] = {}
+
+    def _pattern(self, flows: Tuple[Tuple[int, int], ...]) -> int:
+        """This runtime's id for the flow pattern ``flows``: equal
+        patterns get the same id, so a memo keyed on it hashes one int
+        instead of every flow."""
+        return self._patterns.setdefault(flows, len(self._patterns))
 
     # -- rate lookups -----------------------------------------------------
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..caching import CACHE_DIR_ENV, CACHE_ENV
+from ..caching import CACHE_DIR_ENV, CACHE_ENV, default_cache
 from ..core.operations import OperationStyle
 from ..core.patterns import AccessPattern
 from ..memsim.node import ENGINE_ENV, selected_engine
@@ -281,16 +281,23 @@ def run_cells(cells: Sequence[SweepCell]) -> List[Dict[str, Any]]:
     """Run ``cells`` in order on this process's memos, one row each.
 
     A failing cell aborts the run with a :class:`SweepError` naming it
-    — a silently absent cell must never reach the merge.
+    — a silently absent cell must never reach the merge.  However the
+    run ends, the calibration tables it measured are written to the
+    disk cache once each (:meth:`~repro.caching.CalibrationCache.flush`).
     """
     rows: List[Dict[str, Any]] = []
-    for cell in cells:
-        try:
-            rows.append(run_cell(cell))
-        except SweepError:
-            raise
-        except Exception as exc:
-            raise SweepError(f"cell {cell.cell_id!r} failed: {exc}") from exc
+    try:
+        for cell in cells:
+            try:
+                rows.append(run_cell(cell))
+            except SweepError:
+                raise
+            except Exception as exc:
+                raise SweepError(
+                    f"cell {cell.cell_id!r} failed: {exc}"
+                ) from exc
+    finally:
+        default_cache().flush()
     return rows
 
 

@@ -219,6 +219,25 @@ class TestRoundMemo:
         assert len(calls) == 1
 
 
+def test_a_repeat_collective_keys_its_rounds_without_hashing_flows(
+    monkeypatch,
+):
+    """The lowering keeps each round's flow-pattern id, so a repeat
+    call looks its rounds up without interning a flow tuple again."""
+    runtime = CommRuntime(t3d(), rates="paper")
+    first = run_collective(runtime, "allreduce", "ring", 64, 4096)
+    interned = []
+
+    def counted(self, flows):
+        interned.append(flows)
+        return pattern(self, flows)
+
+    pattern = CommRuntime._pattern
+    monkeypatch.setattr(CommRuntime, "_pattern", counted)
+    assert run_collective(runtime, "allreduce", "ring", 64, 4096) == first
+    assert interned == []
+
+
 class TestRuntimeMemo:
     """A runtime prices each distinct step once, across collectives."""
 

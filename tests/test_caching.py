@@ -14,6 +14,7 @@ from repro.caching import (
     default_cache,
 )
 from repro.core.calibration import ThroughputTable
+from repro.core.serialization import table_to_dict
 from repro.core.transfers import TransferKind
 from repro.machines import t3d
 from repro.machines.measure import (
@@ -25,6 +26,7 @@ from repro.machines.measure import (
     measurement_cache_key,
 )
 from repro.memsim.config import DRAMConfig, NodeConfig
+from repro.memsim.node import DEFAULT_MEASURE_WORDS
 
 
 @pytest.fixture(autouse=True)
@@ -212,7 +214,7 @@ class TestDisableSwitch:
 
 def _read_every_third_entry(part: int) -> None:
     """A worker process: read one third of a T3D table's grid, so each
-    measured entry rewrites the shared disk file."""
+    worker rewrites the shared disk file when it exits."""
     machine = t3d()
     table = measure_table(machine, nwords=512)
     for index, (letter, read, write) in enumerate(calibration_entries(machine)):
@@ -269,3 +271,136 @@ class TestMeasureTableIntegration:
         assert all(expected[name] == rate for name, rate in stored.items())
         default_cache().clear()
         assert measure_table(machine, nwords=512).to_dict() == expected
+
+
+def _read_the_copy_entries() -> None:
+    """A spawned process: read a T3D table's copy entries, then exit
+    without running a sweep."""
+    machine = t3d()
+    table = measure_table(machine, nwords=512)
+    for letter, read, write in calibration_entries(machine):
+        if letter == "C":
+            table.get(_KIND_BY_LETTER[letter], _table_key(read), _table_key(write))
+
+
+def _entry(table: ThroughputTable, mbps: float) -> ThroughputTable:
+    table.set(TransferKind.COPY, "1", 8, mbps)
+    return table
+
+
+class TestCoalescedPublish:
+    """A table's file is written when the table is made and then once
+    per flush: at the end of a sweep run, on ``clear``, on LRU eviction
+    and at process exit."""
+
+    @staticmethod
+    def _cold_figure7():
+        from repro.bench.experiments import figure7
+        from repro.sweep.worker import reset_memos
+
+        default_cache().clear()
+        reset_memos()
+        return figure7()
+
+    def test_a_cold_sweep_writes_each_file_at_creation_and_at_its_end(
+        self, monkeypatch
+    ):
+        writes = []
+        write = CalibrationCache._write
+
+        def counted(self, path, table):
+            writes.append(path)
+            return write(self, path, table)
+
+        default_cache().flush()  # what earlier tests left dirty
+        monkeypatch.setattr(CalibrationCache, "_write", counted)
+        self._cold_figure7()
+        assert writes
+        assert all(writes.count(path) <= 2 for path in writes)
+
+    def test_the_file_holds_the_table_once_the_sweep_returns(self):
+        self._cold_figure7()
+        machine = t3d()
+        key = measurement_cache_key(
+            machine,
+            machine.network.default_congestion,
+            DEFAULT_MEASURE_WORDS,
+            DEFAULT_STRIDES,
+        )
+        table = default_cache().lookup(key)
+        assert table is not None and len(table.to_dict(measure=False)) > 0
+        assert default_cache()._path(key).read_text() == json.dumps(
+            table_to_dict(table, measure=False), sort_keys=True
+        )
+
+    def test_publish_waits_for_a_flush(self, tmp_path):
+        cache = CalibrationCache(directory=str(tmp_path))
+        table = _table()
+        cache.store("k", table)
+        cache.publish("k", _entry(table, 50.0))
+        assert "1C8" not in cache._path("k").read_text()
+        cache.flush()
+        assert "1C8" in cache._path("k").read_text()
+
+    def test_clear_flushes(self, tmp_path):
+        cache = CalibrationCache(directory=str(tmp_path))
+        table = _table()
+        cache.store("k", table)
+        cache.publish("k", _entry(table, 50.0))
+        cache.clear()
+        assert CalibrationCache(directory=str(tmp_path)).lookup("k").get(
+            TransferKind.COPY, "1", 8
+        ) == 50.0
+
+    def test_eviction_flushes_the_evicted_table(self, tmp_path):
+        cache = CalibrationCache(max_entries=1, directory=str(tmp_path))
+        table = _table()
+        cache.store("a", table)
+        cache.publish("a", _entry(table, 50.0))
+        cache.store("b", _table())
+        assert "a" not in cache._memory
+        assert cache.lookup("a").get(TransferKind.COPY, "1", 8) == 50.0
+
+    def test_a_dirty_table_goes_where_it_was_published(
+        self, monkeypatch, tmp_path
+    ):
+        first, second = tmp_path / "first", tmp_path / "second"
+        monkeypatch.setenv(CACHE_DIR_ENV, str(first))
+        cache = CalibrationCache()
+        table = _table()
+        cache.store("k", table)
+        cache.publish("k", _entry(table, 50.0))
+        monkeypatch.setenv(CACHE_DIR_ENV, str(second))
+        cache.flush()
+        assert "1C8" in (first / "tables" / "k.json").read_text()
+        assert not second.exists()
+
+    def test_a_flush_never_brings_back_a_removed_directory(self, tmp_path):
+        import shutil
+
+        directory = tmp_path / "disk"
+        cache = CalibrationCache(directory=str(directory))
+        table = _table()
+        cache.store("k", table)
+        cache.publish("k", _entry(table, 50.0))
+        shutil.rmtree(directory)
+        cache.flush()
+        assert not directory.exists()
+
+    def test_a_process_leaves_what_it_read_on_disk_at_exit(self):
+        machine = t3d()
+        context = multiprocessing.get_context("spawn")
+        process = context.Process(target=_read_the_copy_entries)
+        process.start()
+        process.join(timeout=120)
+        assert process.exitcode == 0
+        key = measurement_cache_key(
+            machine, machine.network.default_congestion, 512, DEFAULT_STRIDES
+        )
+        stored = json.loads(CalibrationCache()._path(key).read_text())["entries"]
+        copies = [
+            entry for entry in calibration_entries(machine) if entry[0] == "C"
+        ]
+        assert len(stored) == len(copies)
+        expected = measure_table(machine, nwords=512, use_cache=False).to_dict()
+        assert all(expected[name] == rate for name, rate in stored.items())
