@@ -9,7 +9,9 @@ stages:
    evictions, the write-buffer's entry/merge/drain structure, and the
    DRAM open-page hit/miss of every memory operation.  None of these
    depend on the clocks, only on address order, so they vectorize
-   exactly.
+   exactly.  Grouping by cache set or DRAM bank is a stable sort of
+   the group ids; ids that fit 16 bits (up to 65 536 sets or banks)
+   sort as ``uint16`` keys, which NumPy radix-sorts in linear time.
 2. **Compilation**: the classified stream is reduced to a short array
    of timeline *events* — blocking line fills, pipelined fills,
    write-buffer drains, read-ahead fills — each carrying the processor
@@ -49,7 +51,9 @@ Supported envelope:
 
 Every kernel of the Section 4 calibration grid on every registered
 machine qualifies; ``tests/properties`` holds the hypothesis parity
-suite that enforces oracle agreement.
+suite that enforces oracle agreement, and
+``tests/golden/test_memsim_kernels.py`` pins each of those kernels'
+results bit for bit.
 """
 
 from __future__ import annotations
@@ -122,6 +126,18 @@ class FastpathUnsupported(Exception):
 # -- vector helpers ------------------------------------------------------------
 
 
+def _stable_order(group: np.ndarray, n_groups: int) -> np.ndarray:
+    """The stable sort permutation of ``group``, ids in ``0 .. n_groups-1``.
+
+    Ids that fit 16 bits are sorted as ``uint16``, which NumPy's stable
+    sort radix-sorts in linear time; a stable permutation does not
+    depend on the key's width, so it equals the int64 sort's.
+    """
+    if n_groups <= 1 << 16:
+        group = group.astype(np.uint16)
+    return np.argsort(group, kind="stable")
+
+
 def _prev_equal_in_group(
     group: np.ndarray, value: np.ndarray, state: np.ndarray
 ) -> np.ndarray:
@@ -141,7 +157,7 @@ def _prev_equal_in_group(
         prev[1:] = value[:-1]
         state[0] = value[-1]
         return prev == value
-    order = np.argsort(group, kind="stable")
+    order = _stable_order(group, state.shape[0])
     g = group[order]
     v = value[order]
     first = np.empty(n, dtype=bool)
@@ -173,7 +189,7 @@ def _last_install_matches(
     last.
     """
     n = group.shape[0]
-    order = np.argsort(group, kind="stable")
+    order = _stable_order(group, state.shape[0])
     g = group[order]
     v = value[order]
     inst = install[order]
@@ -328,21 +344,24 @@ class _WriteBack:
         ways = self.ways
         n_sets = self.n_sets
         real = lines.ravel()
+        real_set = real % n_sets
         touched = np.zeros(n_sets, dtype=bool)
-        touched[real % n_sets] = True
+        touched[real_set] = True
         carried_lru = np.flatnonzero(touched & (self.lru >= 0))
         carried_mru = np.flatnonzero(touched & (self.mru >= 0))
         n_syn = carried_lru.shape[0] + carried_mru.shape[0]
         line = np.concatenate((self.lru[carried_lru], self.mru[carried_mru], real))
+        # A carried line's set is the index it was carried under.
+        line_set = np.concatenate((carried_lru, carried_mru, real_set))
         store = np.concatenate((
             self.lru_dirty[carried_lru],
             self.mru_dirty[carried_mru],
             np.tile(self.store, lines.shape[0]),
         ))
         n = line.shape[0]
-        order = np.argsort(line % n_sets, kind="stable")
+        order = _stable_order(line_set, n_sets)
         s_line = line[order]
-        s_set = s_line % n_sets
+        s_set = line_set[order]
         new_set = np.empty(n, dtype=bool)
         new_set[0] = True
         np.not_equal(s_set[1:], s_set[:-1], out=new_set[1:])
@@ -1053,8 +1072,15 @@ class _ProcessorKernel:
         np.cumsum(cumulative, out=cumulative)
         self.inc_total = cumulative[-1]
         if ev_key.shape[0]:
-            inc_keys = (words[:, None] * 64 + self.inc_slots[None, :]).ravel()
-            consumed = cumulative[np.searchsorted(inc_keys, ev_key, side="left")]
+            # The first increment at or after each event: increments sit
+            # at ``word * 64 + slot`` for every word and slot, so its
+            # index follows from the event's word and slot.
+            n_inc = self.inc_slots.shape[0]
+            at = (ev_key >> 6) - words[0]
+            at *= n_inc
+            at += np.searchsorted(self.inc_slots, ev_key & 63, side="left")
+            np.minimum(at, nb * n_inc, out=at)
+            consumed = cumulative[at]
             a_pre[0] = consumed[0] - self.consumed
             np.subtract(consumed[1:], consumed[:-1], out=a_pre[1:])
             self.consumed = consumed[-1]
@@ -1139,24 +1165,25 @@ class FastEngine:
         n = addresses.shape[0]
         if n == 0:
             return KernelResult(ns=0.0, nwords=0)
+        # Entry r flushes while the engine stamps the first word of
+        # entry r+1 (the final entry flushes after the loop).
+        entry_words = None  # one word per entry
         if merge:
             lines = addresses // cfg.cache.line_bytes
             starts_mask = np.empty(n, dtype=bool)
             starts_mask[0] = True
             np.not_equal(lines[1:], lines[:-1], out=starts_mask[1:])
             starts = np.flatnonzero(starts_mask)
-            bounds = np.append(starts, n)
             entry_addr = addresses[starts]
-            entry_words = np.diff(bounds)
-            # Entry r flushes while the engine stamps the first word of
-            # run r+1 (the final entry flushes after the loop).
-            flush_at = np.append(bounds[1:-1] + 1, n).astype(np.float64) * word_ns
+            flush_at = np.empty(starts.shape[0])
+            flush_at[:-1] = starts[1:] + 1
+            if starts.shape[0] < n:
+                entry_words = np.diff(starts, append=n)
         else:
             entry_addr = addresses
-            entry_words = np.ones(n, dtype=np.int64)
-            flush_at = np.append(
-                np.arange(2, n + 1, dtype=np.float64), float(n)
-            ) * word_ns
+            flush_at = np.arange(2, n + 2, dtype=np.float64)
+        flush_at[-1] = n
+        flush_at *= word_ns
 
         dram = cfg.dram
         page = entry_addr // dram.page_bytes
@@ -1164,14 +1191,21 @@ class FastEngine:
             page % dram.n_banks, page,
             np.full(dram.n_banks, -1, dtype=np.int64),
         )
-        occ = (
-            np.where(hit, dram.write_hit_ns, dram.write_miss_ns)
-            + dram.burst_word_ns * (entry_words - 1)
-        ) * self.occupancy_scale
+        occ = np.where(
+            hit, float(dram.write_hit_ns), float(dram.write_miss_ns)
+        )
+        if entry_words is not None:
+            # A one-word entry adds no burst term: x + 0.0 == x exactly.
+            entry_words -= 1
+            occ += dram.burst_word_ns * entry_words
+        occ *= self.occupancy_scale
         # dram_free_k = max(flush_k, dram_free_{k-1}) + occ_k, solved by
         # the max-prefix identity over cumulative occupancies.
         cum = np.cumsum(occ)
-        dram_final = float(np.max(flush_at - (cum - occ)) + cum[-1])
+        total = cum[-1]
+        cum -= occ
+        flush_at -= cum
+        dram_final = float(np.max(flush_at) + total)
         engine_t = float(n) * word_ns
         page_hits, entries = int(hit.sum()), hit.shape[0]
         result = KernelResult(

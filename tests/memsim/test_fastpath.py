@@ -21,7 +21,7 @@ from repro.memsim.config import (
     WriteBufferConfig,
 )
 from repro.memsim.engine import MemoryEngine
-from repro.memsim.fastpath import FastEngine, FastpathUnsupported
+from repro.memsim.fastpath import FastEngine, FastpathUnsupported, _stable_order
 from repro.memsim.streams import AccessStream, make_stream
 
 GAP = (1 << 24) + 256
@@ -301,6 +301,52 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 1024 * 1024
+
+
+class TestWideGroups:
+    """Group ids past 16 bits take the int64 sort; the parity suite
+    draws at most 512 sets and 4 banks, so it never reaches it."""
+
+    @pytest.mark.parametrize("n_groups", [1, 4, 1 << 16, (1 << 16) + 1])
+    def test_stable_order_equals_the_int64_stable_sort(self, n_groups):
+        rng = np.random.default_rng(n_groups)
+        # Half the ids from the top of the range (65 535 is the largest
+        # uint16, 65 536 the first that needs the wide sort), with ties.
+        group = np.concatenate((
+            rng.integers(max(n_groups - 3, 0), n_groups, size=3072),
+            rng.integers(0, n_groups, size=3072),
+        ))
+        rng.shuffle(group)
+        expected = np.argsort(group.astype(np.int64), kind="stable")
+        assert np.array_equal(_stable_order(group, n_groups), expected)
+
+    @pytest.mark.parametrize("policy", ["around", "through", "back"])
+    def test_a_cache_of_more_than_65536_sets_matches_the_oracle(self, policy):
+        node = NodeConfig(
+            cache=CacheConfig(
+                size_bytes=4 << 20, line_bytes=32, write_policy=policy
+            ),
+            dram=DRAMConfig(n_banks=8),
+        )
+        assert node.cache.n_sets > 1 << 16
+        rng = np.random.default_rng(11)
+        # 3 000 words (past one block seam) drawn from 1 500 words
+        # spread over 8 MiB: every set id range, and repeats that hit.
+        pool = rng.integers(0, 1 << 20, size=1500) * 8
+        read = _stream(rng.choice(pool, size=3000))
+        write = _stream(rng.choice(pool, size=3000) + (8 << 20))
+        for run in (
+            lambda e: e.run_load_stream(read),
+            lambda e: e.run_store_stream(write),
+            lambda e: e.run_copy(read, write),
+        ):
+            ref = run(MemoryEngine(node))
+            got = run(FastEngine(node))
+            _assert_match(ref, got)
+            assert got.counts == ref.counts
+        # The loads both hit and miss, so the set grouping is exercised.
+        loads = FastEngine(node).run_load_stream(read)
+        assert 0.0 < loads.cache_hit_rate < 1.0
 
 
 @pytest.mark.parametrize("machine_key", MACHINES)
