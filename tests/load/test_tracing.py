@@ -16,35 +16,13 @@ from repro.core.errors import TransferAbortedError
 from repro.faults import FaultPlan, FragmentFault, RetryPolicy
 from repro.load import (
     LoadEngine,
-    LoadProfile,
-    OpenLoopSpec,
     OverloadSpec,
-    RequestTemplate,
     profile_by_name,
 )
 from repro.runtime.engine import CommRuntime
 from repro.trace import chrome_trace, tracing
 
-#: The open-loop profile of the speed benchmark (``bench_speed.py``).
-_BENCH = LoadProfile(
-    name="bench",
-    nodes=16,
-    open_loops=(
-        OpenLoopSpec(
-            name="bench",
-            rate_per_s=50_000.0,
-            templates=(
-                RequestTemplate("small", nbytes=4096),
-                RequestTemplate("large", y="64", nbytes=65536),
-            ),
-        ),
-    ),
-)
-
-#: Its pinned seed-7 digest over a 0.5 s horizon, protection off.
-_BENCH_DIGEST = (
-    "2c3d33266f3778e6643a8f849dfb36f4a3afca45d1274b67512cc0ccc75fa3d0"
-)
+from .test_pinned_digests import BENCH, BENCH_DIGEST, BENCH_HORIZON_NS
 
 
 def _overloaded():
@@ -96,10 +74,10 @@ def _assert_counters_restate_report(result, tracer):
 
 class TestBenchProfile:
     def test_traced_and_untraced_digests_are_pinned(self):
-        untraced = LoadEngine(_BENCH, seed=7).run(5e8)
-        traced, tracer = _traced(_BENCH, 5e8)
-        assert untraced.digest() == _BENCH_DIGEST
-        assert traced.digest() == _BENCH_DIGEST
+        untraced = LoadEngine(BENCH, seed=7).run(BENCH_HORIZON_NS)
+        traced, tracer = _traced(BENCH, BENCH_HORIZON_NS)
+        assert untraced.digest() == BENCH_DIGEST
+        assert traced.digest() == BENCH_DIGEST
         _assert_counters_restate_report(traced, tracer)
         assert tracer.metrics.counter("load.completed") > 0
 
