@@ -19,14 +19,20 @@ Determinism is structural, not incidental:
 * all randomness is drawn from keyed streams of
   :func:`repro.contract.draws`, pure functions of ``(seed, stream
   key)`` — no RNG state anywhere;
-* every event's heap key is content-derived —
+* every event's key is content-derived —
   ``(time, kind, request identity, leg)`` where identity is the
   ``(generator, sequence)`` pair — so push order (and therefore
   generator interleaving or pre-generation sharding) cannot change
   the service order;
+* events come from two sources: the open-loop arrivals, pre-generated
+  and sorted by that key once, and a heap of the events the run itself
+  creates (completions, transit landings, closed-loop issues,
+  retries).  Each step takes the smaller head by the same key; keys
+  are unique, so the merged sequence is exactly the order one heap of
+  every event would pop;
 * ``workers`` only shards open-loop *pre-generation*; the per-
   generator streams are independent of the sharding, and the merged
-  event list is heapified from a canonical sort.
+  arrival list is canonically sorted.
 
 The result: ``run()`` is bit-identical for a given ``(profile, seed,
 horizon)`` across worker counts — the property suite holds this as an
@@ -398,8 +404,11 @@ class LoadEngine:
         nics = [stations[(node, _NIC)] for node in range(profile.nodes)]
         admit, observe = admission.admit, admission.observe
 
-        heap: List[Any] = self._open_arrivals(horizon_ns, workers)
-        heapq.heapify(heap)
+        # Arrivals are consumed from the end of the reversed sorted
+        # list; the heap holds only the events the run creates.
+        arrivals: List[Any] = self._open_arrivals(horizon_ns, workers)
+        arrivals.reverse()
+        heap: List[Any] = []
 
         closed_streams = {
             spec.name: spec.streams(self.seed)
@@ -507,7 +516,7 @@ class LoadEngine:
             """Schedule a seeded backoff re-arrival, or drop terminally.
 
             A retry re-enters as a fresh arrival (identity extended
-            with the attempt number, so heap keys stay unique) after an
+            with the attempt number, so event keys stay unique) after an
             exponential backoff with pure-hash jitter.  The retry
             budget bounds retries as a fraction of in-flight work —
             with the fault plan's budget composed in above — so a storm
@@ -563,8 +572,11 @@ class LoadEngine:
             reissue(now_ns, request.generator, request.client, request.issue)
 
         try:
-            while heap:
-                time_ns, kind, identity, leg, payload = heappop(heap)
+            while heap or arrivals:
+                if arrivals and (not heap or arrivals[-1] < heap[0]):
+                    time_ns, kind, identity, leg, payload = arrivals.pop()
+                else:
+                    time_ns, kind, identity, leg, payload = heappop(heap)
                 events += 1
                 end_ns = time_ns
 

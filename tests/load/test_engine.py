@@ -14,10 +14,14 @@ from repro.load import (
     LoadProfile,
     OpenLoopSpec,
     RequestTemplate,
+    Station,
     profile_by_name,
     validate_load_report,
 )
+from repro.load import engine as engine_module
 from repro.trace import tracing
+
+from .test_pinned_digests import MIXED, MIXED_HORIZON_NS
 
 _HORIZON = 10_000_000.0  # 10 ms of simulated traffic
 
@@ -52,6 +56,81 @@ class TestConservation:
         result = LoadEngine(_steady(), seed=7).run(_HORIZON)
         assert result.end_ns >= 0.0
         assert result.latency["count"] == result.completed
+
+
+@pytest.fixture
+def stations_made(monkeypatch):
+    """Every station the engine builds, in build order."""
+    made = []
+
+    class Recorded(Station):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(engine_module, "Station", Recorded)
+    return made
+
+
+class TestLittlesLaw:
+    @pytest.mark.parametrize("name", ["steady", "bursty", "closed", "mixed"])
+    def test_depth_integral_equals_total_wait(self, name, stations_made):
+        """On a run that starts and ends empty, each station's queue-depth
+        integral and the summed queue waits of everyone who left its line
+        — served, shed or evicted — are one quantity counted two ways."""
+        if name == "mixed":
+            profile, horizon_ns = MIXED, MIXED_HORIZON_NS
+        else:
+            profile, horizon_ns = profile_by_name(name), _HORIZON
+        LoadEngine(profile, seed=7).run(horizon_ns)
+        assert len(stations_made) == 3 * profile.nodes
+        assert sum(station.wait_ns for station in stations_made) > 0.0
+        for station in stations_made:
+            assert station.depth() == 0 and station.backlog() == 0
+            gap = abs(station._depth_integral - station.wait_ns)
+            assert gap <= 1e-9 * max(1.0, station.wait_ns), station.name
+
+
+class _InstantOpenLoop(OpenLoopSpec):
+    """Three open-loop arrivals, all at time 0."""
+
+    def arrivals(self, seed, horizon_ns):
+        for __ in range(3):
+            yield 0.0, self.templates[0]
+
+
+class TestEventSources:
+    def test_equal_time_events_follow_the_key_across_sources(
+        self, monkeypatch
+    ):
+        """Open-loop arrivals come from their presorted list, closed-loop
+        issues from the event heap.  At seed 7 generators ``a``, ``d``
+        and ``e`` share a home NIC, and all nine requests arrive there at
+        time 0: they must reach it in identity order, whichever source
+        holds them."""
+        offers = []
+
+        class Recorded(Station):
+            def offer(self, now_ns, priority, identity, *rest):
+                offers.append((now_ns, identity))
+                return super().offer(now_ns, priority, identity, *rest)
+
+        monkeypatch.setattr(engine_module, "Station", Recorded)
+        profile = LoadProfile(
+            name="tied",
+            nodes=2,
+            open_loops=(_InstantOpenLoop(name="d", rate_per_s=1.0),),
+            closed_loops=(
+                ClosedLoopSpec(name="a", clients=3),
+                ClosedLoopSpec(name="e", clients=3),
+            ),
+        )
+        engine = LoadEngine(profile, seed=7)
+        assert {engine._home(name) for name in "ade"} == {1}
+        engine.run(1.0)
+        at_zero = [identity for now_ns, identity in offers if now_ns == 0.0]
+        assert {identity[0] for identity in at_zero} == set("ade")
+        assert at_zero == sorted(at_zero)
 
 
 class TestReplay:

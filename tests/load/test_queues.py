@@ -109,6 +109,12 @@ class TestBoundedOffer:
         assert not accepted and evicted is None
         assert _pop(station, 2.0)[1] == "earlier"
 
+    def test_zero_capacity_rejects_every_waiter(self):
+        for discipline in ("fifo", "priority"):
+            station = Station("s", discipline, capacity=0)
+            assert station.offer(0.0, 0, (0, 0), "a") == (False, None)
+            assert station.rejected == 1 and station.depth() == 0
+
     def test_capacity_bounds_the_waiting_line_not_the_server(self):
         station = Station("s", "fifo", capacity=1)
         station.start(0.0, 10.0)             # server busy
