@@ -19,6 +19,7 @@ cross-checks a headline figure between the two engines.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -30,10 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.caching import CACHE_ENV, default_cache  # noqa: E402
 from repro.memsim.engine import ENGINE_VERSION  # noqa: E402
 from repro.memsim.fastpath import FASTPATH_VERSION  # noqa: E402
-from repro.memsim.node import (  # noqa: E402
-    DEFAULT_MEASURE_WORDS,
-    ENGINE_ENV,
-)
+from repro.memsim.node import DEFAULT_MEASURE_WORDS  # noqa: E402
 
 #: The acceptance bar: figure-4 regeneration at least this much faster.
 FIG4_TARGET_SPEEDUP = 5.0
@@ -105,6 +103,30 @@ STREAM_INDEX_RUNS = (1, 2)
 STREAM_SEEDS = (12345, 54321)
 
 
+@contextlib.contextmanager
+def _engine(mode: str):
+    """Run every memsim kernel inside on the scalar reference oracle
+    when ``mode`` is ``scalar``, else leave each kernel to the harness.
+
+    The oracle is forced by swapping the harness's fast engine for one
+    that rejects every kernel, so each falls back on the same streams.
+    """
+    from repro.memsim import node
+    from repro.memsim.fastpath import FastpathUnsupported
+
+    class _Rejecting:
+        def __init__(self, *args, **kwargs):
+            raise FastpathUnsupported("scalar oracle forced by the bench")
+
+    fast = node.FastEngine
+    if mode == "scalar":
+        node.FastEngine = _Rejecting
+    try:
+        yield
+    finally:
+        node.FastEngine = fast
+
+
 def _regen_figure4():
     from repro.bench import figure4
     from repro.machines import paragon, t3d
@@ -130,7 +152,7 @@ def _regen_figure7():
     from repro.sweep.worker import reset_memos
 
     # figure7() sweeps in-process, and the sweep's worker memos would
-    # otherwise hand this run the tables an earlier engine measured.
+    # otherwise hand this run the tables an earlier run measured.
     reset_memos()
     return figure7()
 
@@ -202,15 +224,15 @@ def _bench_modern(repeat: int) -> dict:
         times = {}
         tables = {}
         for mode in ("scalar", "fast"):
-            os.environ[ENGINE_ENV] = mode
             best = float("inf")
             for __ in range(repeat):
                 machine = machine_by_key(key)  # fresh kernel memo
-                started = time.perf_counter()
-                tables[mode] = measure_table(
-                    machine, use_cache=False
-                ).to_dict()
-                best = min(best, time.perf_counter() - started)
+                with _engine(mode):
+                    started = time.perf_counter()
+                    tables[mode] = measure_table(
+                        machine, use_cache=False
+                    ).to_dict()
+                    best = min(best, time.perf_counter() - started)
             times[mode] = best
         scalar = tables["scalar"]
         fast = tables["fast"]
@@ -230,7 +252,6 @@ def _bench_modern(repeat: int) -> dict:
             "worst_rel_diff": worst_rel,
             "same_entries": fast.keys() == scalar.keys(),
         })
-    os.environ.pop(ENGINE_ENV, None)
     return {
         "machines": rows,
         "min_speedup": min(row["speedup"] for row in rows),
@@ -252,12 +273,12 @@ def _timed(fn, repeat: int):
 
 
 def _run_mode(mode: str, repeat: int):
-    """Time every section with the given engine forced."""
-    os.environ[ENGINE_ENV] = mode
+    """Time every section, on the scalar oracle for ``scalar``."""
     timings = {}
     results = {}
-    for name, fn in SECTIONS.items():
-        timings[name], results[name] = _timed(fn, repeat)
+    with _engine(mode):
+        for name, fn in SECTIONS.items():
+            timings[name], results[name] = _timed(fn, repeat)
     return timings, results
 
 
@@ -284,7 +305,7 @@ def main() -> int:
     streams = _bench_streams(args.repeat)
     modern = _bench_modern(args.repeat)
     scalar_times, scalar_results = _run_mode("scalar", args.repeat)
-    fast_times, fast_results = _run_mode("auto", args.repeat)
+    fast_times, fast_results = _run_mode("fast", args.repeat)
 
     # Parity spot check on the headline numbers.
     mismatches = [
@@ -321,7 +342,6 @@ def main() -> int:
     # single slow round (cron wakeup, GC) shifts one sample, not the
     # estimate, where best-of-N comparisons were at the mercy of which
     # mode caught the quiet moment.
-    os.environ[ENGINE_ENV] = "auto"
     overhead_rounds = max(args.repeat, OVERHEAD_ROUNDS)
     modes = [
         ("untraced", _regen_figure4),
@@ -360,7 +380,6 @@ def main() -> int:
     # be bit-identical.
     from repro.sweep import figure7_spec, run_serial, run_sweep
 
-    os.environ[ENGINE_ENV] = "auto"
     sweep_spec = figure7_spec()
     serial_sweep_s = float("inf")
     parallel_sweep_s = float("inf")
@@ -442,7 +461,6 @@ def main() -> int:
 
     # Cache effect: cold vs warm table regeneration with caching on.
     del os.environ[CACHE_ENV]
-    os.environ[ENGINE_ENV] = "auto"
     default_cache().clear(disk=True)
     started = time.perf_counter()
     _regen_table1()
@@ -450,7 +468,6 @@ def main() -> int:
     started = time.perf_counter()
     _regen_table1()
     warm_s = time.perf_counter() - started
-    os.environ.pop(ENGINE_ENV, None)
 
     sections = {}
     for name in SECTIONS:
@@ -655,14 +672,16 @@ def main() -> int:
          not meets["figure7_sweep_speedup_gte_2x"],
          f"figure-7 sweep speedup {sweep_speedup:.2f}x < "
          f"{SWEEP_TARGET_SPEEDUP:.0f}x target"),
-        ("FAIL", "figure-7 batch parity", not batch_identical,
-         f"figure-7 batch results differ from the serial loop "
-         f"({serial_digest} vs {batch_digest})"),
-        ("FAIL", "figure-7 batch floor", batch_speedup < BATCH_FLOOR_SPEEDUP,
-         f"figure-7 batch speedup {batch_speedup:.2f}x < "
+        ("FAIL", "figure-7 in-process sweep parity", not batch_identical,
+         f"figure-7 in-process sweep results differ from the serial "
+         f"loop ({serial_digest} vs {batch_digest})"),
+        ("FAIL", "figure-7 in-process sweep floor",
+         batch_speedup < BATCH_FLOOR_SPEEDUP,
+         f"figure-7 in-process sweep speedup {batch_speedup:.2f}x < "
          f"{BATCH_FLOOR_SPEEDUP:.0f}x regression floor"),
-        ("WARN", "figure-7 batch target", batch_speedup < BATCH_TARGET_SPEEDUP,
-         f"figure-7 batch speedup {batch_speedup:.2f}x < "
+        ("WARN", "figure-7 in-process sweep target",
+         batch_speedup < BATCH_TARGET_SPEEDUP,
+         f"figure-7 in-process sweep speedup {batch_speedup:.2f}x < "
          f"{BATCH_TARGET_SPEEDUP:.0f}x target"),
         ("FAIL", "figure-4 speedup", not meets["figure4_speedup_gte_5x"],
          f"figure-4 speedup "

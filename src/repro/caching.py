@@ -7,8 +7,8 @@ tables at two levels:
 
 * an **in-process LRU** keyed by a content hash of everything the
   measurement depends on — the full :class:`~repro.memsim.config.NodeConfig`,
-  stream length, index-run locality, congestion, stride anchors, the
-  engine selection, and the engine semantic versions;
+  stream length, index-run locality, congestion, stride anchors, and
+  the engines' semantic versions;
 * an optional **on-disk layer** under ``.repro-cache/`` (override with
   the ``REPRO_CACHE_DIR`` environment variable) holding one JSON table
   per key.  A table is written when it is made.  When it measures new

@@ -37,11 +37,7 @@ from ..core.patterns import CONTIGUOUS, INDEXED, AccessPattern, strided
 from ..core.transfers import TransferKind
 from ..memsim.engine import ENGINE_VERSION
 from ..memsim.fastpath import FASTPATH_VERSION
-from ..memsim.node import (
-    DEFAULT_MEASURE_WORDS,
-    NodeMemorySystem,
-    selected_engine,
-)
+from ..memsim.node import DEFAULT_MEASURE_WORDS, NodeMemorySystem
 from ..netsim.network import FramingMode
 from .base import Machine
 
@@ -171,7 +167,7 @@ def measure_entries(
     """Measure a batch of calibration entries against one node harness.
 
     This is the batched-query form of :func:`measure_entry`: all
-    entries share the harness (and therefore its engine-keyed kernel
+    entries share the harness (and therefore its kernel
     memo — see :class:`~repro.memsim.node.NodeMemorySystem`), so
     duplicate entries simulate once.  Values are bit-identical to
     calling :func:`measure_entry` per entry.
@@ -200,9 +196,9 @@ def measurement_cache_key(
 
     Everything the resulting table depends on participates: the full
     node config, the network config and congestion point, stream
-    parameters, the engine selection (a forced scalar oracle may differ
-    from the fast path in the last float ulp) and the engines' semantic
-    versions, so editing timing rules orphans stale disk entries.
+    parameters and both engines' semantic versions (a kernel outside
+    the fast path's envelope runs the scalar oracle), so editing timing
+    rules orphans stale disk entries.
 
     Two inputs exist specifically so concurrent sweep workers sharing
     the disk cache can never mix stale entries: the machine's
@@ -218,7 +214,6 @@ def measurement_cache_key(
         MEASURE_VERSION,
         ENGINE_VERSION,
         FASTPATH_VERSION,
-        selected_engine(),
         machine.name,
         machine.node,
         machine.network,
@@ -231,25 +226,11 @@ def measurement_cache_key(
     )
 
 
-class _PinnedNode(NodeMemorySystem):
-    """A harness that runs the engine its table was made under.
-
-    A deferred table measures long after :func:`measure_table`
-    returned; its cache key names the ``REPRO_MEMSIM_ENGINE`` selection
-    of that moment, so a later change of the variable must not reach
-    its kernels.
-    """
-
-    def _resolve_engine_mode(self) -> str:
-        return self.engine
-
-
 def _measurer(
     machine: Machine,
     entry_of: Dict[EntryKey, CalEntry],
     congestion: int,
     nwords: int,
-    engine: str,
 ) -> Callable[[EntryKey], float]:
     """Measure one table key on a harness built at the first call."""
     node: Optional[NodeMemorySystem] = None
@@ -257,12 +238,7 @@ def _measurer(
     def measure(key: EntryKey) -> float:
         nonlocal node
         if node is None:
-            node = _PinnedNode(
-                machine.node,
-                nwords=nwords,
-                index_run=machine.index_run,
-                engine=engine,
-            )
+            node = machine.node_memory(nwords=nwords)
         return measure_entry(machine, node, entry_of[key], congestion=congestion)
 
     return measure
@@ -278,8 +254,7 @@ def measure_table(
     """A calibration table that measures its entries on the simulators.
 
     Each entry is measured the first time a read needs it (see
-    :meth:`~repro.core.calibration.ThroughputTable.defer`), under the
-    memory-simulator engine selected when this function ran; the values
+    :meth:`~repro.core.calibration.ThroughputTable.defer`); the values
     equal those of measuring the whole grid at once.  The table is the
     cache's own object: entries ``set`` or merged into it reach later
     lookups of the same key and, once it measures again, its disk file.
@@ -298,7 +273,6 @@ def measure_table(
     if congestion is None:
         congestion = machine.network.default_congestion
     strides = tuple(strides)
-    engine = selected_engine()
     key = measurement_cache_key(machine, congestion, nwords, strides)
     cache = default_cache()
     table = cache.lookup(key) if use_cache else None
@@ -319,7 +293,7 @@ def measure_table(
         }
         table.defer(
             entry_of,
-            _measurer(machine, entry_of, congestion, nwords, engine),
+            _measurer(machine, entry_of, congestion, nwords),
             (lambda measured: cache.publish(key, measured)) if use_cache else None,
         )
     return table

@@ -13,7 +13,7 @@ using fine grain timers" (Section 4):
 
 from __future__ import annotations
 
-import os
+import dataclasses
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -25,31 +25,7 @@ from .engine import KernelResult, MemoryEngine
 from .fastpath import FastEngine, FastpathUnsupported
 from .streams import DEFAULT_INDEX_RUN, AccessStream, make_stream
 
-__all__ = [
-    "NodeMemorySystem",
-    "DEFAULT_MEASURE_WORDS",
-    "ENGINE_ENV",
-    "selected_engine",
-]
-
-#: Environment variable overriding every :class:`NodeMemorySystem`'s
-#: engine selection: ``auto`` (default), ``fast`` (vectorized path,
-#: error if a stream falls outside its envelope) or ``scalar`` (always
-#: the reference oracle).
-ENGINE_ENV = "REPRO_MEMSIM_ENGINE"
-
-_ENGINE_MODES = ("auto", "fast", "scalar")
-
-
-def selected_engine(default: str = "auto") -> str:
-    """The engine mode ``REPRO_MEMSIM_ENGINE`` selects right now, or
-    ``default`` when it is unset; an unknown mode raises ``ValueError``."""
-    mode = os.environ.get(ENGINE_ENV) or default
-    if mode not in _ENGINE_MODES:
-        raise ValueError(
-            f"{ENGINE_ENV} must be one of {_ENGINE_MODES}, got {mode!r}"
-        )
-    return mode
+__all__ = ["NodeMemorySystem", "DEFAULT_MEASURE_WORDS"]
 
 
 #: Default stream length for measurements: 32 Ki words = 256 KB, far
@@ -73,22 +49,17 @@ class NodeMemorySystem:
         index_run: Locality run length for indexed streams (see
             :mod:`repro.memsim.streams`).
         occupancy_scale: Bus-arbitration multiplier passed to the engine.
-        engine: ``"auto"`` uses the vectorized fast path when a stream
-            qualifies and falls back to the scalar oracle otherwise;
-            ``"fast"`` raises
-            :class:`~repro.memsim.fastpath.FastpathUnsupported` instead
-            of falling back; ``"scalar"`` always runs the oracle.  The
-            ``REPRO_MEMSIM_ENGINE`` environment variable, when set,
-            overrides this argument everywhere.
 
-    Kernel results are memoized per instance: the streams are
-    deterministic functions of ``(config, nwords, index_run,
-    occupancy_scale, pattern)``, so re-measuring the same transfer is a
-    dictionary lookup.  ``last_engine`` reports which engine produced
-    the most recent (uncached) result.  The word offsets of each indexed
-    stream are kept too, read-only and by seed (``nwords`` and
-    ``index_run`` are fixed per instance), so the kernels reading ``ω``
-    on one side share one draw of it.
+    Each kernel runs on the vectorized fast path when its streams
+    qualify and on the scalar oracle otherwise; ``fastpath_fallbacks``
+    counts the kernels that fell back.  Kernel results are memoized per
+    instance: the streams are deterministic functions of ``(config,
+    nwords, index_run, occupancy_scale, pattern)``, so re-measuring the
+    same transfer is a dictionary lookup.  ``last_engine`` reports which
+    engine produced the most recent (uncached) result.  The word
+    offsets of each indexed stream are kept too, read-only and by seed
+    (``nwords`` and ``index_run`` are fixed per instance), so the
+    kernels reading ``ω`` on one side share one draw of it.
     """
 
     def __init__(
@@ -97,35 +68,22 @@ class NodeMemorySystem:
         nwords: int = DEFAULT_MEASURE_WORDS,
         index_run: int = DEFAULT_INDEX_RUN,
         occupancy_scale: float = 1.0,
-        engine: str = "auto",
     ) -> None:
-        if engine not in _ENGINE_MODES:
-            raise ValueError(
-                f"engine must be one of {_ENGINE_MODES}, got {engine!r}"
-            )
         self.config = config
         self.nwords = nwords
         self.index_run = index_run
         self.occupancy_scale = occupancy_scale
-        self.engine = engine
         self.last_engine: Optional[str] = None
         self.fastpath_fallbacks = 0
         self._results: Dict[Tuple, KernelResult] = {}
-        # Kernel keys the fast path has already rejected, so ``auto``
-        # mode neither re-attempts them nor re-counts the fallback.
-        self._fast_unsupported: Dict[Tuple, bool] = {}
         self._indexed_offsets: Dict[int, np.ndarray] = {}
 
     def _engine(self) -> MemoryEngine:
         return MemoryEngine(self.config, occupancy_scale=self.occupancy_scale)
 
-    def _resolve_engine_mode(self) -> str:
-        return selected_engine(self.engine)
-
     def clear_cache(self) -> None:
         """Drop memoized kernel results."""
         self._results.clear()
-        self._fast_unsupported.clear()
 
     @staticmethod
     def _count(*counts: Tuple[str, int]) -> None:
@@ -136,83 +94,40 @@ class NodeMemorySystem:
             for name, value in counts:
                 tracer.metrics.inc(name, value)
 
-    def _memo_hit(self, result: KernelResult) -> KernelResult:
-        self._count(("memsim.memo_hits", 1))
-        return result
-
-    def _run_with(
-        self, key: Tuple, streams: Tuple[AccessStream, ...], used: str
-    ) -> KernelResult:
-        """Run kernel ``key`` on ``streams`` with the named engine and
-        memoize under it.
-
-        ``key[0]`` names the kernel: the engine method is
-        ``run_<key[0]>``, which :class:`FastEngine` mirrors exactly.
-        """
-        engine = (
-            FastEngine(self.config, occupancy_scale=self.occupancy_scale)
-            if used == "fast"
-            else self._engine()
-        )
-        result = getattr(engine, f"run_{key[0]}")(*streams)
-        self.last_engine = used
-        self._count(*result.counts, (f"memsim.engine.{used}", 1))
-        self._results[key + (used,)] = result
-        return result
-
     def _kernel(
         self, key: Tuple, build: Callable[[], Tuple[AccessStream, ...]]
     ) -> KernelResult:
-        """Run a kernel on the selected engine, memoizing the result.
+        """Run a kernel once, memoizing its result under ``key``.
 
-        ``build`` makes the kernel's streams.  It runs only on a memo
-        miss, and at most once per miss: an ``auto`` fallback hands the
-        scalar oracle the streams the fast path was offered.
-
-        Results are memoized under the engine that *actually produced*
-        them, not the mode that was requested: an ``auto`` query that
-        ran on the fast path shares its memo entry with ``fast`` mode,
-        and an ``auto`` fallback shares with ``scalar`` mode.  The two
-        engines may differ in the last float ulp, so keying on the
-        requested mode would let a toggled ``REPRO_MEMSIM_ENGINE``
-        serve a value the named engine never computed — and re-simulate
-        queries whose result already exists under the other name.
+        ``key[0]`` names the kernel: the engine method is
+        ``run_<key[0]>``, which :class:`FastEngine` mirrors exactly.
+        On a memo miss ``build`` makes the streams once.  The fast path
+        runs them; a kernel outside its envelope runs the scalar oracle
+        on the same streams instead.  The memo keeps either result, so
+        a repeat neither re-attempts the fast path nor re-counts the
+        fallback.
         """
-        mode = self._resolve_engine_mode()
-        if mode == "scalar":
-            cached = self._results.get(key + ("scalar",))
-            if cached is not None:
-                return self._memo_hit(cached)
-            return self._run_with(key, build(), "scalar")
-        if mode == "fast":
-            # Always attempt: a repeat of an unsupported kernel must
-            # raise FastpathUnsupported again, identically.
-            cached = self._results.get(key + ("fast",))
-            if cached is not None:
-                return self._memo_hit(cached)
-            return self._run_with(key, build(), "fast")
-        # ``auto``: fast path when the kernel qualifies, scalar oracle
-        # otherwise, remembering which side each key landed on.
-        streams = None
-        if key not in self._fast_unsupported:
-            cached = self._results.get(key + ("fast",))
-            if cached is not None:
-                return self._memo_hit(cached)
-            streams = build()
-            try:
-                return self._run_with(key, streams, "fast")
-            except FastpathUnsupported:
-                # Count every fallback so a configuration that silently
-                # never uses the fast path shows up in metrics.
-                self._fast_unsupported[key] = True
-                self.fastpath_fallbacks += 1
-                self._count(("memsim.fastpath_unsupported", 1))
-        cached = self._results.get(key + ("scalar",))
+        cached = self._results.get(key)
         if cached is not None:
-            return self._memo_hit(cached)
-        if streams is None:
-            streams = build()
-        return self._run_with(key, streams, "scalar")
+            self._count(("memsim.memo_hits", 1))
+            return cached
+        streams = build()
+        run = f"run_{key[0]}"
+        try:
+            fast = FastEngine(self.config, occupancy_scale=self.occupancy_scale)
+            result = getattr(fast, run)(*streams)
+            used = "fast"
+        except FastpathUnsupported:
+            # Count every fallback so a configuration that silently
+            # never uses the fast path shows up in metrics.
+            self.fastpath_fallbacks += 1
+            self._count(("memsim.fastpath_unsupported", 1))
+            result = getattr(self._engine(), run)(*streams)
+            used = "scalar"
+        self.last_engine = used
+        self._count(*result.counts, (f"memsim.engine.{used}", 1))
+        self._results[key] = result
+        return result
 
     def _stream(
         self, pattern: AccessPattern, base: int = 0, seed: int = 12345
@@ -252,7 +167,14 @@ class NodeMemorySystem:
 
     def deposit_result(self, write: AccessPattern) -> KernelResult:
         """Run ``0Dy`` and return the full kernel result."""
-        return self._kernel(("deposit", write), lambda: (self._stream(write),))
+        # A deposit reads no index array: drop an indexed stream's, so
+        # it is not held while the kernel runs.
+        return self._kernel(
+            ("deposit", write),
+            lambda: (
+                dataclasses.replace(self._stream(write), index_addresses=None),
+            ),
+        )
 
     def fetch_send_result(self, nwords: Optional[int] = None) -> KernelResult:
         """Run ``1F0`` and return the full kernel result."""

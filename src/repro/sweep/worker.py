@@ -8,11 +8,9 @@ tables, runtimes and node harnesses, so the expensive shared work —
 deriving a machine's simulated calibration table — is paid once per
 process instead of once per cell.  A runtime keeps the transfers and
 step patterns it has priced, so the collective selector prices on the
-paper-rate runtime its cells then run on.  A memo holding a simulated
-table is keyed on the memsim engine selection
-(:func:`repro.memsim.node.selected_engine`), as the calibration cache
-(:mod:`repro.caching`) is; through the cache's disk layer each
-distinct table is simulated at most once per cache-cold run.
+paper-rate runtime its cells then run on.  Through the calibration
+cache's disk layer (:mod:`repro.caching`) each distinct simulated
+table is simulated at most once per cache-cold run.
 
 :func:`run_cells` is the one execution loop: :func:`run_cell` per cell,
 with a failing cell raised as a :class:`SweepError` naming it.
@@ -36,7 +34,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..caching import CACHE_DIR_ENV, CACHE_ENV, default_cache
 from ..core.operations import OperationStyle
 from ..core.patterns import AccessPattern
-from ..memsim.node import ENGINE_ENV, selected_engine
 from .spec import NOMINAL_SEED, SweepCell, SweepError
 
 __all__ = [
@@ -49,8 +46,8 @@ __all__ = [
 ]
 
 #: Environment variables a worker must share with its parent for the
-#: run to be reproducible (engine selection and cache configuration).
-_PINNED_ENV = (ENGINE_ENV, CACHE_ENV, CACHE_DIR_ENV)
+#: run to be reproducible (the cache configuration).
+_PINNED_ENV = (CACHE_ENV, CACHE_DIR_ENV)
 
 #: Set when :func:`init_worker` failed in this process.  The
 #: initializer itself must never raise: ``concurrent.futures`` would
@@ -62,9 +59,9 @@ _INIT_ERROR: Optional[str] = None
 
 # Worker-local memos (pure caches; see module docstring).
 _machines: Dict[str, Any] = {}
-_models: Dict[Tuple[str, str, str], Any] = {}
-_runtimes: Dict[Tuple[str, str, str, str], Any] = {}
-_tables: Dict[Tuple[str, str, str], Any] = {}
+_models: Dict[Tuple[str, str], Any] = {}
+_runtimes: Dict[Tuple[str, str, str], Any] = {}
+_tables: Dict[Tuple[str, str], Any] = {}
 _nodes: Dict[Tuple[str, int], Any] = {}
 
 
@@ -123,7 +120,7 @@ def _pattern(key: str) -> AccessPattern:
 
 
 def _table(machine_name: str, rates: str):
-    key = (machine_name, rates, selected_engine())
+    key = (machine_name, rates)
     if key not in _tables:
         machine = machine_by_key(machine_name)
         _tables[key] = (
@@ -135,7 +132,7 @@ def _table(machine_name: str, rates: str):
 
 def _runtime(machine_name: str, style: str, rates: str):
     """A memoized CommRuntime under measure_q's library conventions."""
-    key = (machine_name, style, rates, selected_engine())
+    key = (machine_name, style, rates)
     if key not in _runtimes:
         from ..runtime.engine import CommRuntime
         from ..runtime.libraries import lowlevel_profile, packing_profile
@@ -154,7 +151,7 @@ def _runtime(machine_name: str, style: str, rates: str):
 
 
 def _model(machine_name: str, source: str):
-    key = (machine_name, source, selected_engine())
+    key = (machine_name, source)
     if key not in _models:
         _models[key] = machine_by_key(machine_name).model(source=source)
     return _models[key]

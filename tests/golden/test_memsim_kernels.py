@@ -6,7 +6,9 @@ notices a change in the last bit of a kernel result.  This golden does:
 for every registered machine, every calibration-grid kernel (``C``,
 ``S``, ``R``, ``D``) at two stream lengths, it pins ``float.hex`` of
 ``ns``, ``cache_hit_rate`` and ``dram_page_hit_rate``, and the kernel's
-``counts``.
+``counts``.  Every one of those kernels runs on the fast path: a
+machine that leaves its envelope fails here instead of pinning oracle
+values.
 
 The lengths are the default measurement length and 5 000 words, which
 ends inside a compile block, so the state carried across block seams
@@ -25,7 +27,7 @@ from typing import Dict, List
 
 from repro.machines.measure import _pattern, calibration_entries
 from repro.machines.registry import MACHINE_FACTORIES
-from repro.memsim.node import DEFAULT_MEASURE_WORDS, ENGINE_ENV, NodeMemorySystem
+from repro.memsim.node import DEFAULT_MEASURE_WORDS, NodeMemorySystem
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "memsim", "kernels.json")
 LENGTHS = (DEFAULT_MEASURE_WORDS, 5000)
@@ -47,8 +49,7 @@ def _payload() -> Dict[str, List]:
         machine = factory()
         for nwords in LENGTHS:
             node = NodeMemorySystem(
-                machine.node, nwords=nwords, index_run=machine.index_run,
-                engine="fast",
+                machine.node, nwords=nwords, index_run=machine.index_run
             )
             for letter, read, write in calibration_entries(machine):
                 if letter not in _RESULT_OF:
@@ -60,11 +61,11 @@ def _payload() -> Dict[str, List]:
                     result.dram_page_hit_rate.hex(),
                     [list(count) for count in result.counts],
                 ]
+            assert node.fastpath_fallbacks == 0, (machine_key, nwords)
     return pins
 
 
-def test_fast_kernels_match_the_golden_bit_for_bit(monkeypatch):
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
+def test_fast_kernels_match_the_golden_bit_for_bit():
     with open(DATA) as handle:
         golden = json.load(handle)
     fresh = _payload()
@@ -82,7 +83,6 @@ def test_fast_kernels_match_the_golden_bit_for_bit(monkeypatch):
 
 
 if __name__ == "__main__":
-    os.environ.pop(ENGINE_ENV, None)
     payload = _payload()
     with open(DATA, "w") as handle:
         handle.write(

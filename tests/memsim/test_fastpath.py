@@ -350,13 +350,17 @@ class TestWideGroups:
 
 
 @pytest.mark.parametrize("machine_key", MACHINES)
-def test_every_machine_calibrates_on_the_fast_path(monkeypatch, machine_key):
+def test_every_machine_calibrates_on_the_fast_path(machine_key):
     from repro.machines.measure import measure_table
-    from repro.memsim.node import ENGINE_ENV
+    from repro.trace import tracing
 
-    monkeypatch.setenv(ENGINE_ENV, "fast")
     table = measure_table(MACHINE_FACTORIES[machine_key](), use_cache=False)
-    # A table measures an entry when it is read: read every one while
-    # ``fast`` is forced, so each runs (or raises) on the fast path.
-    entries = table.to_dict()
+    # A table measures an entry when it is read: read every one under
+    # the tracer, which counts the kernels that left the fast path.
+    with tracing() as tracer:
+        entries = table.to_dict()
+    counters = tracer.metrics.counters()
     assert len(entries) == len(table) > 0
+    assert counters.get("memsim.engine.fast", 0) > 0
+    assert "memsim.fastpath_unsupported" not in counters
+    assert "memsim.engine.scalar" not in counters

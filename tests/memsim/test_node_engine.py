@@ -1,4 +1,10 @@
-"""Engine selection and result memoization in NodeMemorySystem."""
+"""Engine choice and result memoization in NodeMemorySystem.
+
+Each kernel runs on the fast path when its streams qualify and falls
+back to the scalar oracle otherwise.  The ``scalar_oracle`` fixture
+(``tests/conftest.py``) forces the fallback for a whole block, so the
+fast path and a harness fallback can both be held to the oracle.
+"""
 
 import pytest
 
@@ -6,13 +12,7 @@ from repro.core.patterns import CONTIGUOUS, INDEXED, strided
 from repro.machines import t3d
 from repro.memsim import node as node_module
 from repro.memsim.config import CacheConfig, NodeConfig
-from repro.memsim.fastpath import FastpathUnsupported
-from repro.memsim.node import ENGINE_ENV, NodeMemorySystem
-
-
-@pytest.fixture(autouse=True)
-def _no_engine_env(monkeypatch):
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
+from repro.memsim.node import NodeMemorySystem
 
 
 @pytest.fixture
@@ -39,25 +39,28 @@ def _small(config, **kwargs):
 
 
 class TestEngineSelection:
-    def test_invalid_engine_rejected(self, node_config):
-        with pytest.raises(ValueError):
-            _small(node_config, engine="turbo")
-
     def test_auto_uses_fast_path_for_supported_config(self, node_config):
         node = _small(node_config)
         node.measure_copy(CONTIGUOUS, strided(8))
         assert node.last_engine == "fast"
 
-    def test_scalar_engine_forces_the_oracle(self, node_config):
-        node = _small(node_config, engine="scalar")
-        node.measure_copy(CONTIGUOUS, strided(8))
+    def test_scalar_engine_forces_the_oracle(
+        self, node_config, scalar_oracle
+    ):
+        node = _small(node_config)
+        with scalar_oracle() as oracle:
+            node.measure_copy(CONTIGUOUS, strided(8))
         assert node.last_engine == "scalar"
+        assert oracle.kernels == node.fastpath_fallbacks == 1
 
-    def test_engines_agree(self, node_config):
-        fast = _small(node_config, engine="fast")
-        scalar = _small(node_config, engine="scalar")
+    def test_engines_agree(self, node_config, scalar_oracle):
+        fast = _small(node_config)
+        scalar = _small(node_config)
         a = fast.measure_copy(CONTIGUOUS, strided(8))
-        b = scalar.measure_copy(CONTIGUOUS, strided(8))
+        assert fast.last_engine == "fast"
+        with scalar_oracle() as oracle:
+            b = scalar.measure_copy(CONTIGUOUS, strided(8))
+        assert oracle.kernels == 1
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_auto_falls_back_outside_the_envelope(self):
@@ -95,55 +98,39 @@ class TestEngineSelection:
         assert counters.get("memsim.fastpath_unsupported") == 1
         assert counters.get("memsim.engine.scalar") == 1
 
-    def test_auto_fallback_matches_scalar_engine_exactly(self):
+    def test_auto_fallback_matches_scalar_engine_exactly(
+        self, scalar_oracle
+    ):
+        """A kernel the fast path rejects gives exactly what the oracle
+        gives for the same kernel."""
         config = NodeConfig(
             cache=CacheConfig(write_policy="back", associativity=4)
         )
         auto = _small(config)
-        scalar = _small(config, engine="scalar")
-        for read, write in (
+        scalar = _small(config)
+        pairs = (
             (CONTIGUOUS, CONTIGUOUS),
             (CONTIGUOUS, strided(8)),
             (strided(16), CONTIGUOUS),
-        ):
-            assert auto.measure_copy(read, write) == scalar.measure_copy(
-                read, write
-            )
-            assert auto.last_engine == "scalar"
-        assert auto.measure_load_send(strided(8)) == scalar.measure_load_send(
-            strided(8)
         )
-        assert auto.measure_receive_store(
-            strided(8)
-        ) == scalar.measure_receive_store(strided(8))
+        fallbacks = [auto.measure_copy(read, write) for read, write in pairs]
+        fallbacks.append(auto.measure_load_send(strided(8)))
+        fallbacks.append(auto.measure_receive_store(strided(8)))
+        assert auto.fastpath_fallbacks == len(fallbacks)
+        with scalar_oracle() as oracle:
+            oracles = [
+                scalar.measure_copy(read, write) for read, write in pairs
+            ]
+            oracles.append(scalar.measure_load_send(strided(8)))
+            oracles.append(scalar.measure_receive_store(strided(8)))
+        assert oracle.kernels == len(oracles)
+        assert fallbacks == oracles
 
     def test_supported_config_never_counts_fallbacks(self, node_config):
         node = _small(node_config)
         node.measure_copy(CONTIGUOUS, strided(8))
         assert node.last_engine == "fast"
         assert node.fastpath_fallbacks == 0
-
-    def test_fast_mode_raises_outside_the_envelope(self):
-        config = NodeConfig(
-            cache=CacheConfig(write_policy="back", associativity=4)
-        )
-        node = _small(config, engine="fast")
-        with pytest.raises(FastpathUnsupported):
-            node.measure_copy(CONTIGUOUS, CONTIGUOUS)
-
-    def test_env_var_overrides_instance_engine(
-        self, node_config, monkeypatch
-    ):
-        monkeypatch.setenv(ENGINE_ENV, "scalar")
-        node = _small(node_config, engine="fast")
-        node.measure_copy(CONTIGUOUS, strided(8))
-        assert node.last_engine == "scalar"
-
-    def test_bogus_env_var_rejected(self, node_config, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "warp")
-        node = _small(node_config)
-        with pytest.raises(ValueError):
-            node.measure_copy(CONTIGUOUS, CONTIGUOUS)
 
 
 class TestMemoization:
@@ -187,43 +174,9 @@ class TestMemoization:
         assert second is not first
         assert second.ns == first.ns
 
-    def test_memoization_is_engine_aware(self, node_config, monkeypatch):
-        node = _small(node_config)
-        fast = node.copy_result(CONTIGUOUS, strided(8))
-        monkeypatch.setenv(ENGINE_ENV, "scalar")
-        scalar = node.copy_result(CONTIGUOUS, strided(8))
-        assert scalar is not fast
-        assert node.last_engine == "scalar"
-
-    def test_memo_keys_on_engine_actually_used(
-        self, node_config, monkeypatch
-    ):
-        """Toggling REPRO_MEMSIM_ENGINE must serve the memo of the
-        engine that produced the value, never re-simulate it under a
-        different requested mode (regression: the memo used to key on
-        the requested mode, so auto-produced results were invisible to
-        fast/scalar mode and vice versa)."""
-        node = _small(node_config)
-        auto = node.copy_result(CONTIGUOUS, strided(8))  # auto -> fast
-        assert node.last_engine == "fast"
-        node.last_engine = None
-        monkeypatch.setenv(ENGINE_ENV, "fast")
-        forced = node.copy_result(CONTIGUOUS, strided(8))
-        assert forced is auto  # shared entry: no re-simulation
-        assert node.last_engine is None  # served from the memo
-        monkeypatch.setenv(ENGINE_ENV, "scalar")
-        scalar = node.copy_result(CONTIGUOUS, strided(8))
-        assert scalar is not auto  # scalar never computed this value
-        assert node.last_engine == "scalar"
-        node.last_engine = None
-        monkeypatch.delenv(ENGINE_ENV)
-        again = node.copy_result(CONTIGUOUS, strided(8))  # auto again
-        assert again is auto
-        assert node.last_engine is None
-
     def test_auto_fallback_shares_scalar_memo(self, monkeypatch):
-        """On a fast-unsupported config, auto's fallback result and a
-        forced-scalar query are one memo entry in both directions."""
+        """A fallback's oracle result is memoized like a fast one: a
+        repeat neither re-attempts the fast path nor runs the oracle."""
         config = NodeConfig(
             cache=CacheConfig(write_policy="back", associativity=4)
         )
@@ -231,10 +184,18 @@ class TestMemoization:
         fallback = node.copy_result(CONTIGUOUS, CONTIGUOUS)
         assert node.last_engine == "scalar"
         node.last_engine = None
-        monkeypatch.setenv(ENGINE_ENV, "scalar")
-        forced = node.copy_result(CONTIGUOUS, CONTIGUOUS)
-        assert forced is fallback
+        attempts = []
+        fast_engine = node_module.FastEngine
+
+        def counting(*args, **kwargs):
+            attempts.append(args)
+            return fast_engine(*args, **kwargs)
+
+        monkeypatch.setattr(node_module, "FastEngine", counting)
+        assert node.copy_result(CONTIGUOUS, CONTIGUOUS) is fallback
         assert node.last_engine is None
+        assert attempts == []
+        assert node.fastpath_fallbacks == 1
 
     def test_clear_cache_forgets_fast_rejections(self):
         config = NodeConfig(

@@ -3,8 +3,11 @@
 A :class:`~repro.memsim.node.NodeMemorySystem` keeps the word offsets
 of each indexed stream it builds, by seed, and hands them read-only to
 every later indexed stream with that seed.  Reusing them must change no
-kernel result on any machine or engine.
+kernel result on any machine, on the fast path or on the scalar
+oracle.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from repro.core.patterns import INDEXED
 from repro.machines import MACHINE_FACTORIES
 from repro.machines.measure import _pattern, calibration_entries
 from repro.memsim import streams
-from repro.memsim.node import ENGINE_ENV, NodeMemorySystem
+from repro.memsim.node import NodeMemorySystem
 
 #: Short streams keep the every-machine, both-engine grid quick.
 _WORDS = 2048
@@ -30,39 +33,43 @@ _RESULT_OF = {
 }
 
 
-def _harness(machine, engine):
+def _harness(machine):
     return NodeMemorySystem(
-        machine.node, nwords=_WORDS, index_run=machine.index_run, engine=engine
+        machine.node, nwords=_WORDS, index_run=machine.index_run
     )
-
-
-@pytest.fixture(autouse=True)
-def _engine_unforced(monkeypatch):
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
 
 
 @pytest.mark.parametrize("engine", ["fast", "scalar"])
 @pytest.mark.parametrize("machine_key", sorted(MACHINE_FACTORIES))
-def test_one_harness_measures_what_fresh_harnesses_do(machine_key, engine):
+def test_one_harness_measures_what_fresh_harnesses_do(
+    machine_key, engine, scalar_oracle
+):
     machine = MACHINE_FACTORIES[machine_key]()
-    shared = _harness(machine, engine)
+    shared = _harness(machine)
     kernels = [
         entry for entry in calibration_entries(machine) if entry[0] in _RESULT_OF
     ]
     assert any("w" in entry for entry in kernels)
-    for letter, read, write in kernels:
-        result_of = _RESULT_OF[letter]
-        memoized = result_of(shared, read, write)
-        fresh = result_of(_harness(machine, engine), read, write)
-        # KernelResult equality leaves the tallies out; compare them too.
-        assert memoized == fresh, (letter, read, write)
-        assert memoized.counts == fresh.counts, (letter, read, write)
+    with scalar_oracle() if engine == "scalar" else nullcontext() as oracle:
+        for letter, read, write in kernels:
+            result_of = _RESULT_OF[letter]
+            memoized = result_of(shared, read, write)
+            fresh_harness = _harness(machine)
+            fresh = result_of(fresh_harness, read, write)
+            # KernelResult equality leaves the tallies out; compare
+            # them too.
+            assert memoized == fresh, (letter, read, write)
+            assert memoized.counts == fresh.counts, (letter, read, write)
+            if letter != "F":
+                assert fresh_harness.last_engine == engine
+    if oracle is not None:
+        assert oracle.kernels > 0
     assert shared._indexed_offsets
 
 
 def test_memoized_offsets_are_read_only():
     machine = MACHINE_FACTORIES["t3d"]()
-    node = _harness(machine, "auto")
+    node = _harness(machine)
     node.measure_copy(INDEXED, INDEXED)
     assert sorted(node._indexed_offsets) == [12345, 54321]
     for offsets in node._indexed_offsets.values():

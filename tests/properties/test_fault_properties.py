@@ -14,8 +14,6 @@ The contracts under test (see docs/FAULTS.md):
   injecting at all.
 """
 
-import os
-
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -32,7 +30,6 @@ from repro.faults import (
     injecting,
 )
 from repro.machines import t3d
-from repro.memsim.node import ENGINE_ENV
 from repro.runtime.collective import CommunicationStep
 from repro.runtime.engine import CommRuntime
 
@@ -127,39 +124,32 @@ class TestReplayDeterminism:
 
 
 class TestEngineIndependence:
+    """The oracle side runs under the ``scalar_oracle`` fixture
+    (``tests/conftest.py``), which forces every memsim kernel onto the
+    scalar engine."""
+
     @given(plan=_PLANS, nbytes=_SIZES)
     @settings(max_examples=15, deadline=None)
-    def test_paper_rates_bit_identical_across_engines(self, plan, nbytes):
-        results = {}
-        for engine in ("scalar", "fast"):
-            previous = os.environ.get(ENGINE_ENV)
-            os.environ[ENGINE_ENV] = engine
-            try:
-                results[engine] = _transfer(_PAPER, plan, nbytes)
-            finally:
-                if previous is None:
-                    os.environ.pop(ENGINE_ENV, None)
-                else:
-                    os.environ[ENGINE_ENV] = previous
-        assert _fingerprint(results["scalar"]) == _fingerprint(results["fast"])
+    def test_paper_rates_bit_identical_across_engines(
+        self, scalar_oracle, plan, nbytes
+    ):
+        with scalar_oracle() as oracle:
+            scalar = _transfer(_PAPER, plan, nbytes)
+        # Paper rates never reach the memory simulator.
+        assert oracle.kernels == 0
+        fast = _transfer(_PAPER, plan, nbytes)
+        assert _fingerprint(scalar) == _fingerprint(fast)
 
     @pytest.mark.slow
     @given(plan=_PLANS)
     @settings(max_examples=5, deadline=None)
-    def test_simulated_rates_agree_to_engine_parity(self, plan):
-        results = {}
-        for engine in ("scalar", "fast"):
-            previous = os.environ.get(ENGINE_ENV)
-            os.environ[ENGINE_ENV] = engine
-            try:
-                runtime = CommRuntime(t3d(), rates="simulated")
-                results[engine] = _transfer(runtime, plan, 65536)
-            finally:
-                if previous is None:
-                    os.environ.pop(ENGINE_ENV, None)
-                else:
-                    os.environ[ENGINE_ENV] = previous
-        scalar, fast = results["scalar"], results["fast"]
+    def test_simulated_rates_agree_to_engine_parity(self, scalar_oracle, plan):
+        with scalar_oracle() as oracle:
+            runtime = CommRuntime(t3d(), rates="simulated")
+            scalar = _transfer(runtime, plan, 65536)
+        assert oracle.kernels > 0
+        runtime = CommRuntime(t3d(), rates="simulated")
+        fast = _transfer(runtime, plan, 65536)
         # Decisions (retries, style, degradation) are engine-free; only
         # the underlying stage rates differ, and those agree to the
         # engines' documented parity.

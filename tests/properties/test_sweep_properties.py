@@ -141,17 +141,18 @@ class TestEngineParity:
     contract — the engines reassociate float sums, so this is a
     numeric bound, not a bitwise one)."""
 
-    def test_calibration_sweep_scalar_vs_auto(self, monkeypatch):
+    def test_calibration_sweep_scalar_vs_auto(
+        self, monkeypatch, scalar_oracle
+    ):
         from repro.caching import CACHE_ENV
-        from repro.memsim.node import ENGINE_ENV
         from repro.sweep import calibration_spec
 
         spec = dataclasses.replace(calibration_spec("t3d"), nwords=4096)
         monkeypatch.setenv(CACHE_ENV, "off")
 
-        monkeypatch.setenv(ENGINE_ENV, "scalar")
-        scalar = run_sweep(spec, workers=1)
-        monkeypatch.setenv(ENGINE_ENV, "auto")
+        with scalar_oracle() as oracle:
+            scalar = run_sweep(spec, workers=1)
+        assert oracle.kernels > 0
         auto = run_sweep(spec, workers=1)
 
         for cell, srow, arow in zip(

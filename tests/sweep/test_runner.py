@@ -175,57 +175,18 @@ class TestWorkerHygiene:
         assert not worker_module._tables
         assert not worker_module._runtimes
 
-    def test_tables_follow_the_engine_selection(self, monkeypatch):
-        """A runtime's and a model's simulated table is the one measured
-        under the current engine selection, never one memoized under
-        another."""
-        from repro import caching
-        from repro.machines.measure import DEFAULT_STRIDES, measurement_cache_key
-        from repro.memsim.node import DEFAULT_MEASURE_WORDS, ENGINE_ENV
-
-        machine = worker_module.machine_by_key("t3d")
-        cache = caching.CalibrationCache(use_disk=False)
-        monkeypatch.setattr(caching, "_DEFAULT_CACHE", cache)
-
-        def publish(engine):
-            # A distinct stand-in table under this engine's cache key,
-            # so nothing is simulated.
-            monkeypatch.setenv(ENGINE_ENV, engine)
-            table = machine.paper_table()
-            cache.store(
-                measurement_cache_key(
-                    machine, machine.network.default_congestion,
-                    DEFAULT_MEASURE_WORDS, DEFAULT_STRIDES,
-                ),
-                table,
-            )
-            return table
-
-        def runtime_table(style):
-            return worker_module._runtime("t3d", style, "simulated").table
-
-        worker_module.reset_memos()
-        try:
-            for engine in ("auto", "scalar"):
-                table = publish(engine)
-                assert runtime_table("chained") is table
-                assert runtime_table("buffer-packing") is table
-                assert worker_module._model("t3d", "simulated").table is table
-        finally:
-            worker_module.reset_memos()
-
     def test_unknown_machine_key_raises(self):
         with pytest.raises(SweepError, match="unknown machine"):
             worker_module.machine_by_key("cm5")
 
     def test_init_worker_pins_environment(self, monkeypatch):
-        from repro.memsim.node import ENGINE_ENV
+        from repro.caching import CACHE_ENV
 
-        monkeypatch.setenv(ENGINE_ENV, "scalar")
+        monkeypatch.setenv(CACHE_ENV, "off")
         worker_module.init_worker({})
-        assert ENGINE_ENV not in __import__("os").environ
-        worker_module.init_worker({ENGINE_ENV: "auto"})
-        assert __import__("os").environ[ENGINE_ENV] == "auto"
+        assert CACHE_ENV not in __import__("os").environ
+        worker_module.init_worker({CACHE_ENV: "on"})
+        assert __import__("os").environ[CACHE_ENV] == "on"
 
     def test_pinned_environment_round_trips(self, monkeypatch):
         from repro.caching import CACHE_ENV

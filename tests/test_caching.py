@@ -232,13 +232,6 @@ class TestMeasureTableIntegration:
         assert a is not b  # remeasured, not served from cache
         assert a.to_dict() == b.to_dict()
 
-    def test_cache_key_tracks_the_engine_selection(self, monkeypatch):
-        machine = t3d()
-        auto = measurement_cache_key(machine, 4, 2048, (8,))
-        monkeypatch.setenv("REPRO_MEMSIM_ENGINE", "scalar")
-        scalar = measurement_cache_key(machine, 4, 2048, (8,))
-        assert auto != scalar
-
     def test_cache_key_tracks_node_parameters(self):
         machine = t3d()
         slower = machine.with_overrides(
