@@ -10,12 +10,16 @@ replayed, and that rests on one set of decisions made here:
   load generation: a pure function of ``(seed, key)`` with no RNG
   state, so call order, worker sharding and event interleaving cannot
   perturb replay;
-* :func:`draws` — the one encoder behind every draw: it binds a
+* :func:`draws` — the encoder behind every per-call draw: it binds a
   stream to ``(seed, *prefix)``, encodes that canonical-JSON head
   once, and per draw encodes only the remaining key parts.
   :func:`uniform` is the stream with an empty prefix, and a hot loop
-  (arrival gaps, template picks, per-message fault decisions) binds
+  (think times, closed-loop picks, per-message fault decisions) binds
   its stream once instead of re-encoding the whole key every draw;
+* :func:`draw_runs` — the run form of the same stream, for draws
+  keyed by consecutive integers (open-loop gaps and picks): the head
+  and suffix are encoded once per run, each index as ``"%d"``, which
+  for an ``int`` is the per-call draw's quoted ``repr``, bit for bit;
 * the ten schema tags, one constant each;
 * a small declarative checker (:class:`Field`, :class:`Schema`,
   :func:`check`) and the schema tables of the eight validated formats.
@@ -47,7 +51,7 @@ __all__ = [
     "LOAD_CURVE", "LOAD_OVERLOAD", "LOAD_REPORT", "SWEEP_RESULT",
     "VERIFY_REPORT",
     # canonical bytes and the deterministic draw
-    "canonical_json", "digest", "draws", "uniform",
+    "canonical_json", "digest", "draw_runs", "draws", "uniform",
     # the checker and its tables
     "Field", "Schema", "check", "require_valid", "GENERATOR_KEYS",
     "FAULTS_SWEEP_TABLE", "FAULTS_TABLE", "LINT_TABLE", "LOAD_CURVE_TABLE",
@@ -76,6 +80,8 @@ GOLDEN = "repro-golden/1"
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _TWO_64 = float(1 << 64)
 _WORD = struct.Struct(">Q")
+#: The draw word of each 32-byte SHA-256 digest in a joined run of them.
+_DIGEST_WORDS = struct.Struct(">Q24x")
 _sha256 = hashlib.sha256
 
 
@@ -112,6 +118,35 @@ def draws(seed: int, *prefix: Any) -> Callable[..., float]:
         return word / _TWO_64
 
     return draw
+
+
+def draw_runs(seed: int, *prefix: Any) -> Callable[..., List[float]]:
+    """The run form of the stream ``draws(seed, *prefix)`` binds.
+
+    ``draw_runs(seed, *prefix)(first, count, *suffix)`` returns
+    ``[draws(seed, *prefix)(i, *suffix) for i in range(first, first +
+    count)]`` bit for bit.  The head (the same text :func:`draws`
+    encodes) and the suffix are encoded once per run into a byte
+    template with one ``"%d"`` slot; an ``int`` index's
+    ``_quote(repr(i))`` is exactly ``"%d" % i``, so each draw hashes
+    the bytes the per-call draw would.
+    """
+    head = "[" + _CANONICAL.encode(seed) + ",[" + "".join(
+        [_quote(repr(part)) + "," for part in prefix]
+    )
+    # A literal % in a quoted part must survive the index formatting.
+    opening = head.encode().replace(b"%", b"%%") + b'"%d"'
+
+    def run(first: int, count: int, *suffix: Any) -> List[float]:
+        closing = "".join(["," + _quote(repr(part)) for part in suffix])
+        template = opening + (closing + "]]").encode().replace(b"%", b"%%")
+        digests = b"".join([
+            _sha256(template % index).digest()
+            for index in range(first, first + count)
+        ])
+        return [word / _TWO_64 for (word,) in _DIGEST_WORDS.iter_unpack(digests)]
+
+    return run
 
 
 def uniform(seed: int, *key: Any) -> float:

@@ -19,16 +19,19 @@ too — so a profile replays bit-identically for a given seed no matter
 how generators are sharded across workers or interleaved in the event
 loop.  A generator binds its streams once per run: the gaps to
 ``("gap", name)``, the picks to ``("template", name)`` and the think
-times to ``("think", name)``.
+times to ``("think", name)``.  An open loop binds the run form,
+:func:`repro.contract.draw_runs`, and draws its gaps and picks a
+block of bursts at a time, bit for bit the per-key draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from ..contract import draws, uniform
+from ..contract import draw_runs, draws, uniform
 from ..core.errors import ModelError
 from .overload import OverloadSpec
 
@@ -106,6 +109,13 @@ class RequestTemplate:
         return cls(**payload)
 
 
+def _chosen(
+    templates: Sequence[RequestTemplate], draw: float
+) -> RequestTemplate:
+    """The template a pick draw selects (uniform over the tuple)."""
+    return templates[min(len(templates) - 1, int(draw * len(templates)))]
+
+
 def _pick_template(
     templates: Sequence[RequestTemplate], pick: Callable[..., float],
     *key: Any,
@@ -117,8 +127,11 @@ def _pick_template(
     """
     if len(templates) == 1:
         return templates[0]
-    draw = pick(*key)
-    return templates[min(len(templates) - 1, int(draw * len(templates)))]
+    return _chosen(templates, pick(*key))
+
+
+#: Burst indices an open loop draws per run of its gap and pick streams.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -154,21 +167,39 @@ class OpenLoopSpec:
 
         The gap before burst *i* is a pure function of
         ``(seed, name, i)``, so the stream is identical however many
-        workers pre-generate it.
+        workers pre-generate it.  Gaps and picks are drawn a block of
+        ``_BLOCK`` bursts at a time with :func:`draw_runs`; each draw
+        is the one the per-burst keys name, so only the last block's
+        draws past the horizon are extra, and they are discarded.
         """
         mean_gap_ns = 1e9 / self.rate_per_s
-        gap = draws(seed, "gap", self.name)
-        pick = draws(seed, "template", self.name)
+        gaps = draw_runs(seed, "gap", self.name)
+        picks = draw_runs(seed, "template", self.name)
         templates = self.templates
         time_ns = 0.0
-        index = 0
+        first = 0
         while True:
-            time_ns += exponential(mean_gap_ns, gap(index))
-            if time_ns >= horizon_ns:
+            times = []
+            for draw in gaps(first, _BLOCK):
+                time_ns += exponential(mean_gap_ns, draw)
+                if time_ns >= horizon_ns:
+                    break
+                times.append(time_ns)
+            if len(templates) == 1:
+                chosen = repeat(templates * self.burst)
+            else:
+                # One run per flight: burst i's flight f is key (i, f).
+                chosen = zip(*[
+                    [_chosen(templates, draw)
+                     for draw in picks(first, len(times), flight)]
+                    for flight in range(self.burst)
+                ])
+            for at, burst in zip(times, chosen):
+                for template in burst:
+                    yield at, template
+            if len(times) < _BLOCK:
                 return
-            for flight in range(self.burst):
-                yield time_ns, _pick_template(templates, pick, index, flight)
-            index += 1
+            first += _BLOCK
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.contract import draws
 from repro.core.errors import ModelError
 from repro.load import (
     PROFILES,
@@ -14,6 +15,7 @@ from repro.load import (
     profile_by_name,
     uniform,
 )
+from repro.load.workload import _BLOCK, exponential
 
 
 class TestUniform:
@@ -97,6 +99,69 @@ class TestArrivals:
         n_plain = len(list(plain.arrivals(seed=7, horizon_ns=1e7)))
         n_bursty = len(list(bursty.arrivals(seed=7, horizon_ns=1e7)))
         assert n_bursty == 4 * n_plain
+
+
+def _reference_arrivals(spec, seed, horizon_ns):
+    """The open-loop stream as first written: one draw per key."""
+    mean_gap_ns = 1e9 / spec.rate_per_s
+    gap = draws(seed, "gap", spec.name)
+    pick = draws(seed, "template", spec.name)
+    templates = spec.templates
+    time_ns = 0.0
+    index = 0
+    while True:
+        time_ns += exponential(mean_gap_ns, gap(index))
+        if time_ns >= horizon_ns:
+            return
+        for flight in range(spec.burst):
+            if len(templates) == 1:
+                template = templates[0]
+            else:
+                draw = pick(index, flight)
+                template = templates[
+                    min(len(templates) - 1, int(draw * len(templates)))
+                ]
+            yield time_ns, template
+        index += 1
+
+
+_TEMPLATES = (
+    RequestTemplate("small", nbytes=2048),
+    RequestTemplate("large", y="64", nbytes=65536),
+    RequestTemplate("urgent", nbytes=1024, priority=1),
+)
+
+
+class TestBlockedArrivals:
+    """The batched stream against the per-draw loop, bit for bit."""
+
+    @pytest.mark.parametrize("burst", [1, 3])
+    @pytest.mark.parametrize("shapes", [1, 3])
+    def test_blocks_draw_the_reference_stream(self, burst, shapes):
+        spec = OpenLoopSpec(
+            "g", rate_per_s=1e6, burst=burst, templates=_TEMPLATES[:shapes]
+        )
+        # About four blocks of bursts at the mean gap of 1 000 ns.
+        stream = _reference_arrivals(spec, 5, 4 * _BLOCK * 1000.0)
+        bursts = [time_ns for time_ns, __ in stream][::burst]
+        assert len(bursts) > 3 * _BLOCK
+        horizons = [
+            bursts[0],               # ends before the first arrival
+            bursts[_BLOCK // 2],     # mid-block
+            bursts[_BLOCK],          # exactly one full block
+            bursts[_BLOCK] + 1.0,    # one arrival into the second block
+            bursts[3 * _BLOCK - 7],  # three blocks
+        ]
+        for horizon_ns in horizons:
+            expected = list(_reference_arrivals(spec, 5, horizon_ns))
+            got = list(spec.arrivals(5, horizon_ns))
+            assert [time_ns for time_ns, __ in got] == [
+                time_ns for time_ns, __ in expected
+            ]
+            assert all(
+                mine[1] is theirs[1] for mine, theirs in zip(got, expected)
+            )
+        assert list(spec.arrivals(5, bursts[0])) == []
 
 
 class TestRoundTrip:

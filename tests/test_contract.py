@@ -28,7 +28,7 @@ from repro.__main__ import main
 from repro.analysis import validate_lint_report, validate_verify_report
 from repro.caching import content_key
 import repro.contract as contract
-from repro.contract import canonical_json, digest, draws, uniform
+from repro.contract import canonical_json, digest, draw_runs, draws, uniform
 from repro.faults import FaultPlan, validate_faults_report
 from repro.load import PROFILES, validate_load_report
 from repro.machines.registry import MACHINE_FACTORIES
@@ -674,7 +674,7 @@ def _reference_uniform(seed, *key):
 _AWKWARD_TEXT = st.text(alphabet=st.one_of(
     st.characters(exclude_categories=()),  # lone surrogates included
     st.sampled_from(
-        ['"', "'", "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028",
+        ['"', "'", "\\", "%", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028",
          "\ud800", "\udfff", "\U0001f600"]
     ),
 ), max_size=8)
@@ -697,15 +697,15 @@ _KEY_PARTS = st.recursive(
 )
 
 
+_SEEDS = st.one_of(
+    st.integers(min_value=-(1 << 70), max_value=1 << 70),
+    st.booleans(),
+)
+
+
 class TestDrawStreams:
     @settings(max_examples=300, deadline=None)
-    @given(
-        seed=st.one_of(
-            st.integers(min_value=-(1 << 70), max_value=1 << 70),
-            st.booleans(),
-        ),
-        key=st.lists(_KEY_PARTS, max_size=5).map(tuple),
-    )
+    @given(seed=_SEEDS, key=st.lists(_KEY_PARTS, max_size=5).map(tuple))
     def test_every_split_draws_the_reference_bits(self, seed, key):
         expected = _reference_uniform(seed, *key)
         assert uniform(seed, *key) == expected
@@ -717,6 +717,45 @@ class TestDrawStreams:
         gap = draws(7, "gap", "poisson")
         assert [gap(i) for i in range(3)] == [
             _reference_uniform(7, "gap", "poisson", i) for i in range(3)
+        ]
+
+
+class TestDrawRuns:
+    @settings(max_examples=75, deadline=None)
+    @given(
+        seed=_SEEDS,
+        prefix=st.lists(_KEY_PARTS, max_size=3).map(tuple),
+        suffix=st.lists(_KEY_PARTS, max_size=3).map(tuple),
+        first=st.one_of(
+            st.integers(min_value=-(1 << 70), max_value=1 << 70),
+            st.sampled_from([-1, 0, (1 << 63) - 1, 1 << 63, (1 << 64) + 1]),
+        ),
+        count=st.sampled_from([0, 1, 2, 5]),
+    )
+    def test_a_run_draws_the_reference_bits(
+        self, seed, prefix, suffix, first, count
+    ):
+        assert draw_runs(seed, *prefix)(first, count, *suffix) == [
+            _reference_uniform(seed, *prefix, index, *suffix)
+            for index in range(first, first + count)
+        ]
+
+    @pytest.mark.parametrize("first, count", [
+        (-3, 0), (-3, 1), (-2, 4), ((1 << 63) - 2, 4), ((1 << 80) + 7, 3),
+    ])
+    def test_bool_str_and_float_parts_keep_their_repr(self, first, count):
+        prefix = (True, "100%d", -0.0, 2.5)
+        suffix = (False, "%s%%", float("nan"), 1e-310)
+        stream = draws(7, *prefix)
+        run = draw_runs(7, *prefix)(first, count, *suffix)
+        assert run == [
+            stream(index, *suffix) for index in range(first, first + count)
+        ]
+
+    def test_a_run_form_is_reusable(self):
+        gaps = draw_runs(7, "gap", "poisson")
+        assert gaps(0, 3) + gaps(3, 2) == [
+            _reference_uniform(7, "gap", "poisson", i) for i in range(5)
         ]
 
 
