@@ -9,19 +9,24 @@ stages:
    evictions, the write-buffer's entry/merge/drain structure, and the
    DRAM open-page hit/miss of every memory operation.  None of these
    depend on the clocks, only on address order, so they vectorize
-   exactly.  Grouping by cache set or DRAM bank is a stable sort of
-   the group ids; ids that fit 16 bits (up to 65 536 sets or banks)
-   sort as ``uint16`` keys, which NumPy radix-sorts in linear time.
+   exactly.  Line, set, page and bank ids of a power-of-two size are
+   shifts and masks, other sizes ``//`` and ``%``.  Grouping by cache
+   set or DRAM bank is a stable sort of the group ids; ids that fit 8
+   or 16 bits (up to 256 or 65 536 sets or banks) sort as ``uint8`` or
+   ``uint16`` keys, which NumPy radix-sorts in one or two linear passes.
+   Merging stores walk only the runs that fill the write buffer.
 2. **Compilation**: the classified stream is reduced to a short array
    of timeline *events* — blocking line fills, pipelined fills,
    write-buffer drains, read-ahead fills — each carrying the processor
    time accumulated since the previous event.  Words that stay inside
-   the cache or the write buffer produce no event at all.
+   the cache or the write buffer produce no event at all.  The replay
+   reads the event arrays through memoryviews, without building lists.
 3. **Replay**: one tight loop advances the engine's clocks (``cpu_t``,
    ``dram_free``, the posted-store drain point, the pipelined-load
    queue, the read-ahead window) over the event array.  The arithmetic
    is the scalar engine's, in the scalar engine's order, so results
-   agree to float rounding (~1e-12 relative).
+   agree to float rounding (~1e-12 relative).  The pipelined-load
+   queue is a ring of ``depth`` slots whose empty slots never delay.
 
 A processor kernel runs the three stages over fixed blocks of
 ``_BLOCK_WORDS`` words, carrying the engine state from one block to the
@@ -126,14 +131,33 @@ class FastpathUnsupported(Exception):
 # -- vector helpers ------------------------------------------------------------
 
 
+def _div(x: np.ndarray, d: int) -> np.ndarray:
+    """``x // d``: an arithmetic shift where ``d`` is a power of two,
+    which floors exactly like ``//`` at a fraction of its cost."""
+    if d & (d - 1):
+        return x // d
+    return x >> (d.bit_length() - 1)
+
+
+def _mod(x: np.ndarray, d: int) -> np.ndarray:
+    """``x % d``: a mask where ``d`` is a power of two (two's complement
+    gives the floored remainder, as ``%`` does)."""
+    if d & (d - 1):
+        return x % d
+    return x & (d - 1)
+
+
 def _stable_order(group: np.ndarray, n_groups: int) -> np.ndarray:
     """The stable sort permutation of ``group``, ids in ``0 .. n_groups-1``.
 
-    Ids that fit 16 bits are sorted as ``uint16``, which NumPy's stable
-    sort radix-sorts in linear time; a stable permutation does not
-    depend on the key's width, so it equals the int64 sort's.
+    Ids that fit 8 or 16 bits are sorted as ``uint8`` or ``uint16``,
+    which NumPy's stable sort radix-sorts in linear time, one pass per
+    byte; a stable permutation does not depend on the key's width, so
+    it equals the int64 sort's.
     """
-    if n_groups <= 1 << 16:
+    if n_groups <= 1 << 8:
+        group = group.astype(np.uint8)
+    elif n_groups <= 1 << 16:
         group = group.astype(np.uint16)
     return np.argsort(group, kind="stable")
 
@@ -257,10 +281,15 @@ class _DirectMapped:
 
     def classify(self, lines: np.ndarray) -> Tuple[np.ndarray, None]:
         flat = lines.ravel()
-        hits = _last_install_matches(
-            flat % self.n_sets, flat, np.tile(self.install, lines.shape[0]),
-            self.installed,
-        )
+        sets = _mod(flat, self.n_sets)
+        if self.install.all():
+            # Every probe installs: a hit is the set's previous probe.
+            hits = _prev_equal_in_group(sets, flat, self.installed)
+        else:
+            hits = _last_install_matches(
+                sets, flat, np.tile(self.install, lines.shape[0]),
+                self.installed,
+            )
         return hits.reshape(lines.shape), None
 
 
@@ -281,7 +310,7 @@ class _Streaming:
             )
         ranges = []
         for channel in channels:
-            lines = channel.addresses // cache.line_bytes
+            lines = _div(channel.addresses, cache.line_bytes)
             if channel.install and np.any(np.diff(lines) < 0):
                 raise FastpathUnsupported(
                     "set-associative classification needs monotone probe "
@@ -344,7 +373,7 @@ class _WriteBack:
         ways = self.ways
         n_sets = self.n_sets
         real = lines.ravel()
-        real_set = real % n_sets
+        real_set = _mod(real, n_sets)
         touched = np.zeros(n_sets, dtype=bool)
         touched[real_set] = True
         carried_lru = np.flatnonzero(touched & (self.lru >= 0))
@@ -483,7 +512,7 @@ class _WriteBuffer:
         """Append word stores, merging runs of one line; see :meth:`post`."""
         n = addresses.shape[0]
         if self.merge:
-            lines = addresses // self.line_bytes
+            lines = _div(addresses, self.line_bytes)
             starts_mask = np.empty(n, dtype=bool)
             starts_mask[0] = True
             np.not_equal(lines[1:], lines[:-1], out=starts_mask[1:])
@@ -500,82 +529,82 @@ class _WriteBuffer:
         self, keys: np.ndarray, addresses: np.ndarray, starts: np.ndarray,
         continues: bool,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        addr_list = addresses.tolist()
-        bounds = starts.tolist()
-        bounds.append(addresses.shape[0])
-        e_addr: List[int] = self.addr.tolist()
-        e_words: List[int] = self.words.tolist()
-        in_batch = len(e_addr)
-        drain_at: List[int] = []
-        drain_ecount: List[int] = []
-        first = 0
+        # Each line run appends one entry that takes the whole run, but a
+        # run that fills the buffer drains at its first word and, if it
+        # has more, opens a second entry for the rest.  After a fill the
+        # buffer holds 0 entries (one-word run) or 1 (split run), so the
+        # next fill comes ``depth`` or ``depth - 1`` runs later.
+        depth = self.depth
+        run_len = np.diff(starts, append=addresses.shape[0])
+        e_words = self.words.copy()
         if continues:
             # The block opens inside the newest pending entry's line.
-            e_words[-1] += bounds[1] - bounds[0]
-            first = 1
-        for k in range(first, len(bounds) - 1):
-            start, end = bounds[k], bounds[k + 1]
-            e_addr.append(addr_list[start])
-            e_words.append(1)
-            in_batch += 1
-            pos = start + 1
-            if in_batch == self.depth:
-                drain_at.append(start)
-                drain_ecount.append(len(e_addr))
-                in_batch = 0
-                if pos < end:
-                    e_addr.append(addr_list[pos])
-                    e_words.append(1)
-                    in_batch = 1
-                    pos += 1
-            if in_batch and pos < end:
-                e_words[-1] += end - pos
-        n_entries = len(e_addr)
+            e_words[-1] += run_len[0]
+            starts = starts[1:]
+            run_len = run_len[1:]
+        pending = e_words.shape[0]
+        split_run = (run_len > 1).tolist()
+        fills: List[int] = []
+        run = depth - 1 - pending
+        while run < len(split_run):
+            fills.append(run)
+            run += depth - 1 if split_run[run] else depth
+        fill = np.asarray(fills, dtype=np.int64)
+        split = fill[run_len[fill] > 1]
+        # Entry index of each run's first entry; a split adds one after it.
+        extra = np.zeros(run_len.shape[0], dtype=np.int64)
+        extra[split] = 1
+        first = np.arange(run_len.shape[0], dtype=np.int64)
+        first[1:] += np.cumsum(extra)[:-1]
+        word_at = np.repeat(starts, extra + 1)
+        word_at[first[split] + 1] += 1
+        new_words = np.repeat(run_len, extra + 1)
+        new_words[first[split]] = 1
+        new_words[first[split] + 1] = run_len[split] - 1
+        entry_addr = np.concatenate((self.addr, addresses[word_at]))
+        entry_words = np.concatenate((e_words, new_words))
+        # Each entry leaves with the first fill entry at or after it.
+        fill_entry = pending + first[fill]
         entry_drain = np.searchsorted(
-            np.asarray(drain_ecount, dtype=np.int64),
-            np.arange(n_entries, dtype=np.int64),
-            side="right",
+            fill_entry, np.arange(entry_addr.shape[0], dtype=np.int64)
         )
-        kept = drain_ecount[-1] if drain_ecount else 0
-        self.addr = np.asarray(e_addr[kept:], dtype=np.int64)
-        self.words = np.asarray(e_words[kept:], dtype=np.int64)
-        return (
-            np.asarray(e_addr, dtype=np.int64),
-            np.asarray(e_words, dtype=np.int64),
-            entry_drain,
-            keys[np.asarray(drain_at, dtype=np.int64)],
-        )
+        kept = int(fill_entry[-1]) + 1 if fills else 0
+        self.addr = entry_addr[kept:]
+        self.words = entry_words[kept:]
+        return entry_addr, entry_words, entry_drain, keys[starts[fill]]
 
 
 # -- the replay clocks -----------------------------------------------------------
 
 
 class _Clocks:
-    """The engine clocks and queues, carried between blocks."""
+    """The engine clocks and queues, carried between blocks.
 
-    __slots__ = ("cpu", "dram", "bda", "pipe", "ra")
+    The pipelined-load queue is a ring of ``depth`` completion times,
+    oldest at ``pipe_at``.  Its slots start at ``-inf``, which never
+    delays the processor, exactly like a queue that is not yet full.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("cpu", "dram", "bda", "pipe", "pipe_at", "ra")
+
+    def __init__(self, pipe_depth: int) -> None:
         self.cpu = 0.0
         self.dram = 0.0
         self.bda = 0.0  # batch-drained-at: when the previous drain left the queue
-        self.pipe: Deque[float] = deque()
+        self.pipe = [-np.inf] * pipe_depth
+        self.pipe_at = 0
         self.ra: Deque[float] = deque()
 
     def finish(self) -> float:
-        cpu = self.cpu
-        for ready in self.pipe:
-            if ready > cpu:
-                cpu = ready
+        cpu = max([self.cpu] + self.pipe)
         return cpu if cpu > self.dram else self.dram
 
 
 def _replay(
-    ev_type: List[int],
-    ev_a: List[float],
-    ev_p1: List[float],
-    ev_p2: List[float],
-    pipe_depth: int,
+    ev_type: memoryview,
+    ev_a: memoryview,
+    ev_p1: memoryview,
+    ev_p2: memoryview,
     clocks: _Clocks,
 ) -> None:
     """Advance the engine clocks over one block's compiled events."""
@@ -583,6 +612,8 @@ def _replay(
     dram = clocks.dram
     bda = clocks.bda
     pipe = clocks.pipe
+    pipe_depth = len(pipe)
+    pipe_at = clocks.pipe_at
     ra_fifo = clocks.ra
     for typ, a, p1, p2 in zip(ev_type, ev_a, ev_p1, ev_p2):
         cpu += a
@@ -596,13 +627,15 @@ def _replay(
             dram += p1
             bda = dram
         elif typ == _EV_PIPE:
-            if len(pipe) >= pipe_depth:
-                ready = pipe.popleft()
-                if ready > cpu:
-                    cpu = ready
+            ready = pipe[pipe_at]
+            if ready > cpu:
+                cpu = ready
             start = dram if dram > cpu else cpu
             dram = start + p2
-            pipe.append(start + p1)
+            pipe[pipe_at] = start + p1
+            pipe_at += 1
+            if pipe_at == pipe_depth:
+                pipe_at = 0
         elif typ == _EV_RA_CONSUME:
             ready = ra_fifo.popleft()
             if ready > cpu:
@@ -617,6 +650,7 @@ def _replay(
     clocks.cpu = cpu
     clocks.dram = dram
     clocks.bda = bda
+    clocks.pipe_at = pipe_at
 
 
 # -- the block-wise processor kernel ---------------------------------------------
@@ -747,11 +781,14 @@ class _ProcessorKernel:
         const(_S_OVERHEAD, proc.loop_overhead_cycles * cyc)
         inc.sort(key=lambda col: col[0])
         self.inc = inc
-        self.inc_slots = np.asarray([slot for slot, _, _ in inc], dtype=np.int64)
+        # Increments of one word that come before each slot.
+        self.slot_rank = np.searchsorted(
+            [slot for slot, _, _ in inc], np.arange(64), side="left"
+        )
         self.inc_total = 0.0  # running sum of every increment so far
         self.consumed = 0.0   # running sum at the latest event
 
-        self.clocks = _Clocks()
+        self.clocks = _Clocks(self.pipe_depth)
         self.cache_hits = 0
         self.cache_probes = 0
         self.dirty_evictions = 0
@@ -762,7 +799,7 @@ class _ProcessorKernel:
     def run(self) -> KernelResult:
         for lo in range(0, self.nwords, _BLOCK_WORDS):
             hi = min(lo + _BLOCK_WORDS, self.nwords)
-            _replay(*self._compile(lo, hi), self.pipe_depth, self.clocks)
+            _replay(*self._compile(lo, hi), self.clocks)
         ns = self.clocks.finish()
         probes = self.cache_probes
         return KernelResult(
@@ -787,8 +824,10 @@ class _ProcessorKernel:
 
     def _compile(
         self, lo: int, hi: int
-    ) -> Tuple[List[int], List[float], List[float], List[float]]:
-        """Classify words ``lo .. hi-1`` and compile them to events."""
+    ) -> Tuple[memoryview, memoryview, memoryview, memoryview]:
+        """Classify words ``lo .. hi-1`` and compile them to events:
+        memoryviews of their opcodes, processor-time increments and
+        two parameters, which the replay reads without building lists."""
         node = self.node
         line_bytes = self.line_bytes
         line_words = self.line_words
@@ -801,7 +840,7 @@ class _ProcessorKernel:
         evictions = None
         if self.cache is not None:
             lines = np.column_stack(
-                [c.addresses[lo:hi] // line_bytes for c in self.channels]
+                [_div(c.addresses[lo:hi], line_bytes) for c in self.channels]
             )
             hits, evictions = self.cache.classify(lines)
             self.cache_hits += int(np.count_nonzero(hits))
@@ -876,8 +915,8 @@ class _ProcessorKernel:
                 self.dirty_evictions += position.shape[0]
                 n_channels = len(self.channels)
                 plan = self.buffer.post(
-                    word_keys[position // n_channels]
-                    + self.evict_slots[position % n_channels],
+                    word_keys[_div(position, n_channels)]
+                    + self.evict_slots[_mod(position, n_channels)],
                     victims * line_bytes,
                     np.full(position.shape[0], line_words, dtype=np.int64),
                 )
@@ -939,12 +978,12 @@ class _ProcessorKernel:
         all_write = (
             np.concatenate(ops_is_write) if ops_is_write else np.zeros(0, bool)
         )
-        page = all_addr // dram.page_bytes
+        page = _div(all_addr, dram.page_bytes)
         page_hit = np.zeros(all_addr.shape[0], dtype=bool)
         if ops_key:
             order = np.argsort(np.concatenate(ops_key), kind="stable")
             page_hit[order] = _prev_equal_in_group(
-                (page % dram.n_banks)[order], page[order], self.open_pages
+                _mod(page, dram.n_banks)[order], page[order], self.open_pages
             )
         burst_extra = dram.burst_word_ns * (all_words - 1)
         lat = np.where(page_hit, dram.read_hit_ns, dram.read_miss_ns) + burst_extra
@@ -980,7 +1019,7 @@ class _ProcessorKernel:
         for keys, opcode, group in ev_specs:
             count = keys.shape[0]
             ev_key_parts.append(keys)
-            ev_type_parts.append(np.full(count, opcode, dtype=np.int64))
+            ev_type_parts.append(np.full(count, opcode, dtype=np.uint8))
             if group is not None:
                 start = group_offsets[group]
                 ev_p1_parts.append(lat[start:start + count])
@@ -996,16 +1035,17 @@ class _ProcessorKernel:
                 ev_p2_parts.append(np.zeros(count))
         if not ev_key_parts:
             self._consume(words, hits, np.zeros(0, np.int64))
-            return [], [], [], []
+            empty = memoryview(b"")
+            return empty, empty, empty, empty
         ev_key = np.concatenate(ev_key_parts)
         ev_order = np.argsort(ev_key, kind="stable")
         ev_key = ev_key[ev_order]
         a_pre = self._consume(words, hits, ev_key)
         return (
-            np.concatenate(ev_type_parts)[ev_order].tolist(),
-            a_pre.tolist(),
-            np.concatenate(ev_p1_parts)[ev_order].tolist(),
-            np.concatenate(ev_p2_parts)[ev_order].tolist(),
+            memoryview(np.concatenate(ev_type_parts)[ev_order]),
+            memoryview(a_pre),
+            memoryview(np.concatenate(ev_p1_parts)[ev_order]),
+            memoryview(np.concatenate(ev_p2_parts)[ev_order]),
         )
 
     def _readahead(self, keys, miss_lines, add_read_ops, ev_specs) -> None:
@@ -1060,25 +1100,24 @@ class _ProcessorKernel:
         if not self.inc:
             return a_pre
         nb = words.shape[0]
-        amounts = np.empty((nb, len(self.inc)))
+        n_inc = len(self.inc)
+        cumulative = np.empty(nb * n_inc + 1)
+        cumulative[0] = self.inc_total
+        amounts = cumulative[1:].reshape(nb, n_inc)
         for k, (_, value, channel) in enumerate(self.inc):
             if channel is None:
                 amounts[:, k] = value
             else:
-                amounts[:, k] = np.where(hits[:, channel.col], value, 0.0)
-        cumulative = np.empty(amounts.size + 1)
-        cumulative[0] = self.inc_total
-        cumulative[1:] = amounts.ravel()
+                np.multiply(hits[:, channel.col], value, out=amounts[:, k])
         np.cumsum(cumulative, out=cumulative)
         self.inc_total = cumulative[-1]
         if ev_key.shape[0]:
             # The first increment at or after each event: increments sit
             # at ``word * 64 + slot`` for every word and slot, so its
             # index follows from the event's word and slot.
-            n_inc = self.inc_slots.shape[0]
             at = (ev_key >> 6) - words[0]
             at *= n_inc
-            at += np.searchsorted(self.inc_slots, ev_key & 63, side="left")
+            at += self.slot_rank[ev_key & 63]
             np.minimum(at, nb * n_inc, out=at)
             consumed = cumulative[at]
             a_pre[0] = consumed[0] - self.consumed
@@ -1169,7 +1208,7 @@ class FastEngine:
         # entry r+1 (the final entry flushes after the loop).
         entry_words = None  # one word per entry
         if merge:
-            lines = addresses // cfg.cache.line_bytes
+            lines = _div(addresses, cfg.cache.line_bytes)
             starts_mask = np.empty(n, dtype=bool)
             starts_mask[0] = True
             np.not_equal(lines[1:], lines[:-1], out=starts_mask[1:])
@@ -1186,9 +1225,9 @@ class FastEngine:
         flush_at *= word_ns
 
         dram = cfg.dram
-        page = entry_addr // dram.page_bytes
+        page = _div(entry_addr, dram.page_bytes)
         hit = _prev_equal_in_group(
-            page % dram.n_banks, page,
+            _mod(page, dram.n_banks), page,
             np.full(dram.n_banks, -1, dtype=np.int64),
         )
         occ = np.where(

@@ -260,6 +260,42 @@ class TestWriteBack:
         assert ref_dirty == got_dirty == 1
 
 
+class TestPipelinedLoads:
+    """Streams of 1, 2, ``depth`` and ``depth + 1`` words: the queue's
+    empty slots never delay the processor, the first full wrap does, and
+    the finish waits for every load still in flight."""
+
+    @pytest.mark.parametrize(
+        "depth, nwords",
+        [(3, 1), (3, 2), (3, 3), (3, 4), (8, 1), (8, 2), (8, 8), (8, 9)],
+    )
+    @pytest.mark.parametrize("bypass", [True, False])
+    def test_short_streams_match_the_oracle(self, depth, nwords, bypass):
+        # Latency far above occupancy: a full queue, not the DRAM, holds
+        # up the next load.
+        node = NodeConfig(
+            processor=ProcessorConfig(
+                pipelined_load_depth=depth,
+                pipelined_loads_bypass_cache=bypass,
+            ),
+            dram=DRAMConfig(
+                read_hit_ns=200.0,
+                read_miss_ns=240.0,
+                read_occupancy_hit_ns=10.0,
+                read_occupancy_miss_ns=12.0,
+            ),
+        )
+        read = make_stream(strided(8), nwords, base=0)
+        for run in (
+            lambda e: e.run_load_stream(read),
+            lambda e: e.run_load_send(read),
+        ):
+            ref = run(MemoryEngine(node))
+            got = run(FastEngine(node))
+            _assert_match(ref, got)
+            assert got.counts == ref.counts
+
+
 class TestBlocks:
     @pytest.mark.parametrize("machine_key", ["t3d", "paragon", "xe", "cluster"])
     @pytest.mark.parametrize("block_words", [1, 5, 64])
@@ -307,11 +343,14 @@ class TestWideGroups:
     """Group ids past 16 bits take the int64 sort; the parity suite
     draws at most 512 sets and 4 banks, so it never reaches it."""
 
-    @pytest.mark.parametrize("n_groups", [1, 4, 1 << 16, (1 << 16) + 1])
+    @pytest.mark.parametrize(
+        "n_groups", [1, 4, 1 << 8, (1 << 8) + 1, 1 << 16, (1 << 16) + 1]
+    )
     def test_stable_order_equals_the_int64_stable_sort(self, n_groups):
         rng = np.random.default_rng(n_groups)
-        # Half the ids from the top of the range (65 535 is the largest
-        # uint16, 65 536 the first that needs the wide sort), with ties.
+        # Half the ids from the top of the range (255 and 65 535 are the
+        # largest uint8 and uint16, 256 and 65 536 the first that need
+        # the next width), with ties.
         group = np.concatenate((
             rng.integers(max(n_groups - 3, 0), n_groups, size=3072),
             rng.integers(0, n_groups, size=3072),

@@ -80,19 +80,22 @@ patterns = st.one_of(
     st.just(AccessPattern.strided(16, block=4)),
 )
 
+#: Geometries off the powers of two (96- and 192-set caches, 48-byte
+#: lines, 1 536-byte pages, 3 banks) take ``//`` and ``%`` where the
+#: others take shifts and masks.
 caches = st.builds(
     CacheConfig,
-    size_bytes=st.sampled_from([1024, 4096, 8192]),
-    line_bytes=st.sampled_from([16, 32, 64]),
+    size_bytes=st.sampled_from([1024, 3072, 4096, 6144, 8192]),
+    line_bytes=st.sampled_from([16, 32, 48, 64]),
     associativity=st.sampled_from([1, 2, 4]),
     hit_ns=st.sampled_from([5.0, 7.0]),
     write_policy=st.sampled_from(["around", "through", "back"]),
-)
+).filter(lambda cache: cache.size_bytes % cache.line_bytes == 0)
 
 drams = st.builds(
     DRAMConfig,
-    page_bytes=st.sampled_from([512, 2048, 4096]),
-    n_banks=st.sampled_from([1, 2, 4]),
+    page_bytes=st.sampled_from([512, 1536, 2048, 4096]),
+    n_banks=st.sampled_from([1, 2, 3, 4]),
     read_miss_ns=st.sampled_from([155.0, 240.0]),
     burst_word_ns=st.sampled_from([15.0, 25.0]),
 )
