@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import json as json_module
+import math
 import sys
 from typing import Optional
 
@@ -581,8 +582,10 @@ def cmd_load(args: argparse.Namespace) -> int:
     from .faults import FaultPlan
     from .load import LoadEngine
 
-    if args.duration <= 0.0:
-        raise ModelError("load duration must be positive")
+    if not 0.0 < args.duration < math.inf:
+        raise ModelError(
+            f"load duration must be positive and finite, got {args.duration}"
+        )
     if args.nodes is not None and args.nodes < 2:
         raise ModelError("a load profile needs at least 2 nodes")
     profile = _load_profile_for(args)

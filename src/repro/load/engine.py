@@ -42,6 +42,7 @@ invariant.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -79,38 +80,36 @@ _DONE, _ARRIVE, _ENQUEUE = 0, 1, 2
 #: Station legs a request walks, in order.
 _NIC, _DEPOSIT, _COPROC = "nic", "deposit", "coproc"
 
-#: A bound route: ``((station key, service ns), ...)``, transit delay,
+#: A priced route: ``((station key, service ns), ...)``, transit delay,
 #: wire index.
 _Route = Tuple[Tuple[Tuple[Tuple[int, str], float], ...], float, int]
 
 
 class _Request:
-    """One in-flight request (identity + route)."""
+    """One in-flight request: identity (its generator first) and route,
+    legs ``(station, node, service ns)``, ``wire_at`` -1 with no transit."""
 
     __slots__ = (
-        "identity", "generator", "client", "issue", "template",
+        "identity", "client", "issue", "template",
         "arrival_ns", "legs", "transit_ns", "wire_at", "leg", "attempt",
     )
 
     def __init__(
         self,
         identity: Tuple[Any, ...],
-        generator: str,
         client: int,
         issue: int,
         template: RequestTemplate,
         arrival_ns: float,
         attempt: int,
+        route: Tuple[Any, ...],
     ) -> None:
         self.identity = identity
-        self.generator = generator
         self.client = client
         self.issue = issue
         self.template = template
         self.arrival_ns = arrival_ns
-        self.legs: Tuple[Tuple[Tuple[int, str], float], ...] = ()
-        self.transit_ns = 0.0
-        self.wire_at = 0
+        self.legs, self.transit_ns, self.wire_at = route
         self.leg = 0
         self.attempt = attempt
 
@@ -211,7 +210,6 @@ class LoadEngine:
         #: Shape key -> the ``TransferAbortedError`` arguments of its abort.
         self._aborts: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
         self._routes: Dict[Tuple[Any, ...], _Route] = {}
-        self._homes: Dict[str, int] = {}
 
     def _home(self, generator: str) -> int:
         """The source node a generator's requests depart from.
@@ -220,13 +218,8 @@ class LoadEngine:
         so a profile's generator *listing order* cannot change where
         traffic originates (the interleaving-invariance property).
         """
-        node = self._homes.get(generator)
-        if node is None:
-            node = int(
-                uniform(self.seed, "home", generator) * self.profile.nodes
-            ) % self.profile.nodes
-            self._homes[generator] = node
-        return node
+        nodes = self.profile.nodes
+        return int(uniform(self.seed, "home", generator) * nodes) % nodes
 
     # -- pricing -------------------------------------------------------------
 
@@ -365,8 +358,10 @@ class LoadEngine:
         :class:`~repro.core.errors.TransferAbortedError` counted as a
         ``broken`` request rather than raised.
         """
-        if horizon_ns <= 0.0:
-            raise ModelError("load duration must be positive")
+        if not 0.0 < horizon_ns < math.inf:
+            raise ModelError(
+                f"load duration must be positive and finite, got {horizon_ns}"
+            )
         profile = self.profile
         policy = policy_by_name(profile.dispatch, profile.nodes, self.seed)
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -402,7 +397,10 @@ class LoadEngine:
                 )
         node_backlog = [0] * profile.nodes
         nics = [stations[(node, _NIC)] for node in range(profile.nodes)]
+        homes = {spec.name: self._home(spec.name) for spec in profile.generators}
         admit, observe = admission.admit, admission.observe
+        # ``_fill_route``'s key -> that route bound to these stations.
+        bound: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
 
         # Arrivals are consumed from the end of the reversed sorted
         # list; the heap holds only the events the run creates.
@@ -425,6 +423,7 @@ class LoadEngine:
 
         tracer = current_tracer()
         latencies = LatencyStore()
+        record = latencies.record
         events = 0
         end_ns = 0.0
         gen_counts: Dict[str, Dict[str, int]] = {
@@ -434,45 +433,41 @@ class LoadEngine:
         inflight = 0
         retries_pending = 0
 
+        def bind(template: RequestTemplate, src: int, dst: int) -> Any:
+            """The priced route with each leg bound to its station."""
+            legs, transit_ns, wire_at = self._fill_route(template, src, dst)
+            return (
+                tuple(
+                    (stations[key], key[0], service_ns)
+                    for key, service_ns in legs
+                ),
+                transit_ns,
+                wire_at if transit_ns > 0.0 else -1,
+            )
+
         def enter_leg(now_ns: float, request: _Request) -> None:
             """Request reaches leg ``request.leg`` (transit already paid)."""
-            if request.leg >= len(request.legs):
+            leg = request.leg
+            if leg >= len(request.legs):
                 complete(now_ns, request)
                 return
-            (node, kind), service_ns = request.legs[request.leg]
-            station = stations[(node, kind)]
-            if station.idle:
-                node_backlog[node] += 1
-                done_ns = station.start(now_ns, service_ns)
-                heappush(heap, (
-                    done_ns, _DONE, request.identity, request.leg, request,
-                ))
-                return
-            accepted, evicted = station.offer(
-                now_ns, request.template.priority, request.identity,
-                request, request.template.deadline_ns,
+            station, node, service_ns = request.legs[leg]
+            template = request.template
+            node_backlog[node] += 1
+            done_ns, dropped = station.arrive(
+                now_ns, service_ns, template.priority, request.identity,
+                request, template.deadline_ns,
             )
-            if evicted is not None:
+            if done_ns is not None:
+                heappush(heap, (done_ns, _DONE, request.identity, leg, request))
+                return
+            if dropped is not None:
                 node_backlog[node] -= 1
-                drop_midroute(now_ns, evicted)
-            if accepted:
-                node_backlog[node] += 1
-                if tracer is not None:
-                    tracer.observe(
-                        f"load.depth/{station.name}", float(station.depth())
-                    )
-            else:
-                drop_midroute(now_ns, request)
-
-        def advance(now_ns: float, request: _Request) -> None:
-            """Move to leg ``request.leg``, paying transit at the wire."""
-            if request.leg == request.wire_at and request.transit_ns > 0.0:
-                heappush(heap, (
-                    now_ns + request.transit_ns, _ENQUEUE,
-                    request.identity, request.leg, request,
-                ))
-            else:
-                enter_leg(now_ns, request)
+                drop_midroute(now_ns, dropped)
+            if tracer is not None and dropped is not request:
+                tracer.observe(
+                    f"load.depth/{station.name}", float(station.depth())
+                )
 
         def reissue(
             now_ns: float, generator: str, client: int, issue: int
@@ -498,11 +493,15 @@ class LoadEngine:
         def complete(now_ns: float, request: _Request) -> None:
             nonlocal inflight
             inflight -= 1
-            gen_counts[request.generator]["completed"] += 1
+            generator = request.identity[0]
+            gen_counts[generator]["completed"] += 1
             latency_ns = now_ns - request.arrival_ns
-            latencies.record(latency_ns)
+            record(latency_ns)
             observe(now_ns, latency_ns)
-            reissue(now_ns, request.generator, request.client, request.issue)
+            if closed_streams:
+                reissue(
+                    now_ns, generator, request.client, request.issue
+                )
 
         def retry_or_drop(
             now_ns: float,
@@ -557,9 +556,10 @@ class LoadEngine:
             """
             nonlocal inflight
             inflight -= 1
-            gen_counts[request.generator]["evicted"] += 1
+            generator = request.identity[0]
+            gen_counts[generator]["evicted"] += 1
             retry_or_drop(
-                now_ns, request.identity, request.generator,
+                now_ns, request.identity, generator,
                 request.client, request.issue, request.template,
                 request.attempt,
             )
@@ -568,8 +568,9 @@ class LoadEngine:
             """A queued request outwaited its deadline: terminal drop."""
             nonlocal inflight
             inflight -= 1
-            gen_counts[request.generator]["shed"] += 1
-            reissue(now_ns, request.generator, request.client, request.issue)
+            generator = request.identity[0]
+            gen_counts[generator]["shed"] += 1
+            reissue(now_ns, generator, request.client, request.issue)
 
         try:
             while heap or arrivals:
@@ -588,9 +589,9 @@ class LoadEngine:
                         identity = identity[:-1]
                     else:
                         counts["offered"] += 1
-                    src = self._home(generator)
+                    src = homes[generator]
                     verdict = None
-                    if not admit(time_ns, nics[src].backlog(), identity):
+                    if not admit(time_ns, nics[src], identity):
                         verdict = "rejected"
                     else:
                         dst = policy.pick(
@@ -610,28 +611,36 @@ class LoadEngine:
                             breaker.record_failure(time_ns)
                             verdict = "broken"
                         else:
-                            try:
-                                route = self._fill_route(template, src, dst)
-                            except TransferAbortedError:
-                                if not protected:
-                                    raise
-                                verdict = "broken"
-                                if breaker is not None:
-                                    breaker.record_failure(time_ns)
-                            else:
-                                if breaker is not None:
-                                    breaker.record_success(time_ns)
+                            key = (
+                                template.x, template.y, template.nbytes,
+                                template.style, src, dst,
+                            )
+                            route = bound.get(key)
+                            if route is None:
+                                try:
+                                    route = bound[key] = bind(template, src, dst)
+                                except TransferAbortedError:
+                                    if not protected:
+                                        raise
+                                    verdict = "broken"
+                            if breaker is not None and verdict is None:
+                                breaker.record_success(time_ns)
+                            elif breaker is not None:
+                                breaker.record_failure(time_ns)
                     if verdict is None:
                         counts["accepted"] += 1
                         inflight += 1
                         request = _Request(
-                            identity, generator, client, issue, template,
-                            time_ns, attempt,
+                            identity, client, issue, template, time_ns,
+                            attempt, route,
                         )
-                        request.legs, request.transit_ns, request.wire_at = (
-                            route
-                        )
-                        advance(time_ns, request)
+                        if request.wire_at == 0:
+                            heappush(heap, (
+                                time_ns + request.transit_ns, _ENQUEUE,
+                                identity, 0, request,
+                            ))
+                        else:
+                            enter_leg(time_ns, request)
                     else:
                         counts[verdict] += 1
                         retry_or_drop(
@@ -644,32 +653,32 @@ class LoadEngine:
                     enter_leg(time_ns, payload)
                     continue
 
-                # _DONE: free the station; if anyone waits, shed the
-                # expired waiters and serve the next live one; advance.
+                # _DONE: the station sheds its expired waiters and starts
+                # the next live one; the request moves on, paying its
+                # transit when it reaches the wire.
                 request = payload
-                (node, station_kind), __ = request.legs[request.leg]
-                station = stations[(node, station_kind)]
-                station.release()
+                station, node, __ = request.legs[leg]
                 node_backlog[node] -= 1
-                if station.depth():
-                    expired, waiter = station.pop_live(time_ns)
-                    for dead in expired:
-                        node_backlog[node] -= 1
-                        shed_request(time_ns, dead)
-                    if waiter is not None:
-                        enqueued_ns, next_request = waiter
-                        wait_service = next_request.legs[next_request.leg][1]
-                        done_ns = station.start(time_ns, wait_service)
-                        heappush(heap, (
-                            done_ns, _DONE, next_request.identity,
-                            next_request.leg, next_request,
-                        ))
-                        if tracer is not None:
-                            tracer.observe(
-                                "load.queue_wait_ns", time_ns - enqueued_ns
-                            )
-                request.leg += 1
-                advance(time_ns, request)
+                expired, waiter, done_ns, wait_ns = station.finish(time_ns)
+                for dead in expired:
+                    node_backlog[node] -= 1
+                    shed_request(time_ns, dead)
+                if waiter is not None:
+                    heappush(heap, (
+                        done_ns, _DONE, waiter.identity, waiter.leg, waiter,
+                    ))
+                    if tracer is not None:
+                        tracer.observe("load.queue_wait_ns", wait_ns)
+                request.leg = leg = leg + 1
+                if leg == request.wire_at:
+                    heappush(heap, (
+                        time_ns + request.transit_ns, _ENQUEUE, identity,
+                        leg, request,
+                    ))
+                elif leg == len(request.legs):
+                    complete(time_ns, request)
+                else:
+                    enter_leg(time_ns, request)
 
         finally:
             # The tallies the report keeps, handed over once per run.

@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Tuple
 
 from ..contract import draws
 from ..core.errors import LoadError
+from .queues import Station
 
 __all__ = [
     "ADMISSION_POLICIES",
@@ -228,8 +229,10 @@ class AdmissionPolicy:
     """Base: decide whether one arrival enters the system.
 
     The engine calls :meth:`admit` once per arrival, *before* the
-    request is priced or routed, with the source node's current NIC
-    backlog and the request's content-derived identity; and
+    request is priced or routed, with the source node's NIC station
+    (a policy that gates on its backlog reads
+    :meth:`~repro.load.queues.Station.backlog`) and the request's
+    content-derived identity; and
     :meth:`observe` once per completion, feeding the closed loop the
     adaptive policy needs.  Both run on simulated time only.
     """
@@ -241,7 +244,7 @@ class AdmissionPolicy:
         self.seed = seed
 
     def admit(
-        self, now_ns: float, nic_backlog: int, identity: Tuple[Any, ...]
+        self, now_ns: float, nic: Station, identity: Tuple[Any, ...]
     ) -> bool:
         return True
 
@@ -263,8 +266,8 @@ class BoundedQueueAdmission(AdmissionPolicy):
 
     name = "bounded-queue"
 
-    def admit(self, now_ns, nic_backlog, identity) -> bool:
-        return nic_backlog < self.spec.queue_limit
+    def admit(self, now_ns, nic, identity) -> bool:
+        return nic.backlog() < self.spec.queue_limit
 
     def describe(self) -> Dict[str, Any]:
         return {"policy": self.name, "queue_limit": self.spec.queue_limit}
@@ -285,7 +288,7 @@ class TokenBucketAdmission(AdmissionPolicy):
         self._tokens = float(spec.token_burst)
         self._clock_ns = 0.0
 
-    def admit(self, now_ns, nic_backlog, identity) -> bool:
+    def admit(self, now_ns, nic, identity) -> bool:
         rate = self.spec.token_rate_per_s
         self._tokens = min(
             float(self.spec.token_burst),
@@ -333,7 +336,7 @@ class AdaptiveAdmission(AdmissionPolicy):
         self._adjustments = 0
         self._gate = draws(seed, "admit")
 
-    def admit(self, now_ns, nic_backlog, identity) -> bool:
+    def admit(self, now_ns, nic, identity) -> bool:
         if self._fraction >= 1.0:
             return True
         return self._gate(*identity) < self._fraction

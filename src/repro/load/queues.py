@@ -21,18 +21,20 @@ never decrease in an event-ordered run, so an offer appends; only a
 same-time newcomer with a smaller identity is insorted.  Every offer,
 pop and eviction is therefore O(1) in the depth of the line.
 
-A station has one enqueue and one pop, used by every load run:
+The engine moves a station's server through two transitions:
 
-* :meth:`offer` adds a waiter.  ``capacity`` bounds the *waiting line*
-  (the request in service does not count); on an unbounded station
-  (``capacity=None``, the default) every offer is accepted, otherwise
-  :meth:`offer` makes the deterministic reject-vs-accept decision,
-  evicting the worst waiter — the tail of the highest non-empty lane —
-  on a full ``priority`` station when the newcomer outranks it;
-* :meth:`pop_live` sheds expired waiters — queue wait beyond the
-  entry's deadline — then pops the next live one, with exact
-  accounting (``shed``, ``shed_wait_ns``).  Entries without a deadline
-  never expire, so with no deadlines it is a plain pop.
+* :meth:`arrive` starts a request at once on an idle server and
+  offers it to the line (:meth:`offer`) on a busy one;
+* :meth:`finish` frees the server, sheds the expired waiters — queue
+  wait beyond the entry's deadline; entries without one never expire —
+  and starts the next live waiter, whose service time travels in its
+  lane entry, or leaves the server idle when none is left.
+
+:meth:`offer` is the line's one enqueue.  ``capacity`` bounds the
+*waiting line*, not the server (``None``, the default, accepts every
+offer); a full line rejects the newcomer or, on a ``priority`` station
+the newcomer outranks, evicts the worst waiter — the tail of the
+highest non-empty lane.
 
 Accounting is exact, not sampled: busy time integrates utilization and
 the queue-depth integral yields the time-averaged depth; reject and
@@ -50,9 +52,12 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 __all__ = ["Station"]
 
-#: Lane entry: (enqueue_ns, request identity, payload, deadline_ns); a
-#: deadline of 0.0 means none.  The lane's rank is its key.
+#: Lane entry: (enqueue_ns, request identity, payload, deadline_ns,
+#: service_ns); a deadline of 0.0 means none.  Its lane's key is its rank.
 _Entry = Tuple[Any, ...]
+
+#: :meth:`Station.finish` on an empty line: nothing shed, nothing next.
+_IDLE: Tuple[Any, ...] = ((), None, 0.0, 0.0)
 
 
 class Station:
@@ -79,7 +84,6 @@ class Station:
         #: Every rank with a lane, ascending.
         self._ranks: List[int] = []
         self._depth = 0
-        self._busy_until: float = 0.0
         self._idle = True
         # Exact accounting.
         self.busy_ns = 0.0
@@ -92,11 +96,68 @@ class Station:
         self._depth_integral = 0.0
         self._depth_clock = 0.0
 
-    # -- queue ---------------------------------------------------------------
+    # -- server transitions --------------------------------------------------
 
-    def _account_depth(self, now_ns: float) -> None:
+    def arrive(
+        self,
+        now_ns: float,
+        service_ns: float,
+        priority: int,
+        identity: Tuple[Any, ...],
+        payload: Any,
+        deadline_ns: float = 0.0,
+    ) -> Tuple[Optional[float], Optional[Any]]:
+        """A request reaches the station: ``(completion time, dropped)``.
+
+        An idle server starts it: ``(now + service, None)``.  A busy one
+        offers it to the line: ``(None, dropped)``, ``dropped`` being
+        the evicted waiter, the newcomer if rejected, else ``None``.
+        """
+        if self._idle:
+            self._idle = False
+            self.busy_ns += service_ns
+            self.served += 1
+            return now_ns + service_ns, None
+        accepted, evicted = self.offer(
+            now_ns, priority, identity, payload, deadline_ns, service_ns
+        )
+        return None, evicted if accepted else payload
+
+    def finish(self, now_ns: float) -> Tuple[Any, ...]:
+        """Free the server, shed expired waiters, start the next live one.
+
+        Returns ``(shed payloads, next payload, its completion time,
+        its queue wait)``.  Waiters that outwaited their deadline are
+        shed in service order, each bumping ``shed`` and adding its
+        wait to ``shed_wait_ns``; with no live waiter left, ``next``
+        is ``None`` and the server idle.
+        """
+        if not self._depth:
+            self._idle = True
+            return _IDLE
         self._depth_integral += self._depth * (now_ns - self._depth_clock)
         self._depth_clock = now_ns
+        shed: List[Any] = []
+        for rank in self._ranks:
+            lane = self._lanes[rank]
+            while lane:
+                enqueue_ns, __, payload, deadline_ns, service_ns = lane.popleft()
+                self._depth -= 1
+                wait_ns = now_ns - enqueue_ns
+                self.wait_ns += wait_ns
+                if deadline_ns > 0.0 and wait_ns > deadline_ns:
+                    self.shed += 1
+                    self.shed_wait_ns += wait_ns
+                    shed.append(payload)
+                    continue
+                self._idle = False
+                self.busy_ns += service_ns
+                self.served += 1
+                return shed, payload, now_ns + service_ns, wait_ns
+        self._idle = True
+        return shed, None, 0.0, 0.0
+
+    # -- queue ---------------------------------------------------------------
 
     def offer(
         self,
@@ -105,6 +166,7 @@ class Station:
         identity: Tuple[Any, ...],
         payload: Any,
         deadline_ns: float = 0.0,
+        service_ns: float = 0.0,
     ) -> Tuple[bool, Optional[Any]]:
         """Add a waiter: ``(accepted, evicted payload)``.
 
@@ -118,11 +180,13 @@ class Station:
         when the newcomer strictly outranks it (sheds lowest-priority
         first), rejecting the newcomer otherwise.  Both outcomes bump
         ``rejected``; the decision depends only on queue content, so
-        replays are bit-identical.
+        replays are bit-identical.  ``service_ns`` is what
+        :meth:`finish` charges when it starts this waiter.
         """
-        self._account_depth(now_ns)
+        self._depth_integral += self._depth * (now_ns - self._depth_clock)
+        self._depth_clock = now_ns
         rank = priority if self.discipline == "priority" else 0
-        entry = (now_ns, identity, payload, deadline_ns)
+        entry = (now_ns, identity, payload, deadline_ns, service_ns)
         evicted = None
         if self.capacity is not None and self._depth >= self.capacity:
             if self.discipline != "priority" or not self._depth:
@@ -156,55 +220,8 @@ class Station:
             self.max_depth = self._depth
         return True, evicted
 
-    def pop_live(
-        self, now_ns: float
-    ) -> Tuple[List[Any], Optional[Tuple[float, Any]]]:
-        """Shed expired waiters, then pop: ``(shed payloads, next)``.
-
-        Entries whose queue wait exceeds their deadline are shed in
-        service order until a live entry (or an empty queue) is found;
-        each shed bumps ``shed`` and adds its wait to ``shed_wait_ns``.
-        ``next`` is the ``(enqueue time, request)`` pair of the first
-        live waiter, ``None`` when every waiter expired.
-        """
-        shed: List[Any] = []
-        if not self._depth:
-            return shed, None
-        self._account_depth(now_ns)
-        for rank in self._ranks:
-            lane = self._lanes[rank]
-            while lane:
-                enqueue_ns, __, payload, deadline_ns = lane.popleft()
-                self._depth -= 1
-                wait_ns = now_ns - enqueue_ns
-                self.wait_ns += wait_ns
-                if deadline_ns > 0.0 and wait_ns > deadline_ns:
-                    self.shed += 1
-                    self.shed_wait_ns += wait_ns
-                    shed.append(payload)
-                    continue
-                return shed, (enqueue_ns, payload)
-        return shed, None
-
     def depth(self) -> int:
         return self._depth
-
-    # -- server --------------------------------------------------------------
-
-    @property
-    def idle(self) -> bool:
-        return self._idle
-
-    def start(self, now_ns: float, service_ns: float) -> float:
-        """Occupy the server; returns the completion time."""
-        self._idle = False
-        self._busy_until = now_ns + service_ns
-        self.busy_ns += service_ns
-        self.served += 1
-        return self._busy_until
-
-    def release(self) -> None:
-        self._idle = True
 
     def backlog(self) -> int:
         """Requests at the station: queued plus any one in service."""
@@ -221,7 +238,8 @@ class Station:
         ``rejected`` / ``shed`` / ``shed_wait_ns``; an unprotected run
         cannot drop anything, so its report leaves them out.
         """
-        self._account_depth(duration_ns)
+        self._depth_integral += self._depth * (duration_ns - self._depth_clock)
+        self._depth_clock = duration_ns
         span = duration_ns if duration_ns > 0.0 else 1.0
         payload: Dict[str, Any] = {
             "served": self.served,

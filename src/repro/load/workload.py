@@ -84,9 +84,9 @@ class RequestTemplate:
             raise ModelError(
                 f"template {self.name!r}: nbytes must be positive"
             )
-        if self.deadline_ns < 0.0:
+        if not 0.0 <= self.deadline_ns < math.inf:
             raise ModelError(
-                f"template {self.name!r}: deadline cannot be negative"
+                f"template {self.name!r}: deadline must be finite and >= 0"
             )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -155,8 +155,8 @@ class OpenLoopSpec:
     )
 
     def __post_init__(self) -> None:
-        if self.rate_per_s <= 0.0:
-            raise ModelError(f"generator {self.name!r}: rate must be positive")
+        if not 0.0 < self.rate_per_s < math.inf:
+            raise ModelError(f"generator {self.name!r}: rate must be finite and > 0")
         if self.burst < 1:
             raise ModelError(f"generator {self.name!r}: burst must be >= 1")
         if not self.templates:
@@ -244,9 +244,9 @@ class ClosedLoopSpec:
             raise ModelError(
                 f"generator {self.name!r}: needs at least one client"
             )
-        if self.think_ns < 0.0:
+        if not 0.0 <= self.think_ns < math.inf:
             raise ModelError(
-                f"generator {self.name!r}: think time cannot be negative"
+                f"generator {self.name!r}: think time must be finite and >= 0"
             )
         if not self.templates:
             raise ModelError(f"generator {self.name!r}: needs a template")
@@ -358,9 +358,9 @@ class LoadProfile:
         latency-curve sweep uses this to walk a profile through
         arrival-rate multipliers without hand-editing generators.
         """
-        if multiplier <= 0.0:
+        if not 0.0 < multiplier < math.inf:
             raise ModelError(
-                f"load multiplier must be positive, got {multiplier}"
+                f"load multiplier must be positive and finite, got {multiplier}"
             )
         if multiplier == 1.0:
             return self

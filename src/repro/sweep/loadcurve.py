@@ -23,6 +23,7 @@ definition of "the curve went vertical here".
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..contract import LOAD_CURVE as CURVE_SCHEMA
@@ -44,9 +45,9 @@ def _check_multipliers(multipliers: Sequence[float]) -> Tuple[float, ...]:
         raise LoadError("latency curve needs at least one multiplier")
     previous = 0.0
     for value in values:
-        if value <= 0.0:
+        if not 0.0 < value < math.inf:
             raise LoadError(
-                f"load multipliers must be positive, got {value}"
+                f"load multipliers must be positive and finite, got {value}"
             )
         if value <= previous:
             raise LoadError(
@@ -142,8 +143,10 @@ def run_load_curve(
         raise LoadError(
             f"knee factor must be > 1, got {knee_factor}"
         )
-    if horizon_ns <= 0.0:
-        raise LoadError("curve duration must be positive")
+    if not 0.0 < horizon_ns < math.inf:
+        raise LoadError(
+            f"curve duration must be positive and finite, got {horizon_ns}"
+        )
     faults_dict = faults.to_dict() if faults is not None else None
     jobs = [
         (profile.to_dict(), seed, horizon_ns, multiplier, faults_dict)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.__main__ import main
 from repro.load import validate_load_report
 
@@ -83,6 +85,23 @@ class TestLoadCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--duration", "inf"],
+        ["--duration", "nan"],
+        ["--rate-x", "inf"],
+        ["--rate-x", "nan"],
+        ["--latency-curve", "1,inf"],
+        ["--latency-curve", "nan"],
+        ["--duration", "inf", "--latency-curve", "1,2"],
+    ])
+    def test_non_finite_input_is_one_line_error(self, flags, capsys):
+        assert main(["load", "--duration", "0.005", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "finite" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_too_few_nodes_is_one_line_error(self, capsys):
         assert main(["load", "--nodes", "1", "--duration", "0.005"]) == 1

@@ -171,6 +171,19 @@ class TestReplay:
         with pytest.raises(ModelError):
             LoadEngine(_steady(), seed=7).run(0.0)
 
+    @pytest.mark.parametrize("horizon_ns", [float("inf"), float("nan")])
+    def test_non_finite_duration_rejected_before_any_draw(
+        self, horizon_ns, monkeypatch
+    ):
+        engine = LoadEngine(_steady(), seed=7)
+
+        def never(*args):
+            raise AssertionError("an arrival was drawn")
+
+        monkeypatch.setattr(engine, "_open_arrivals", never)
+        with pytest.raises(ModelError, match="finite"):
+            engine.run(horizon_ns)
+
 
 class TestFaults:
     def test_chaos_plan_degrades_the_tail(self):

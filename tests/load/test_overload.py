@@ -18,6 +18,7 @@ from repro.load import (
     LoadEngine,
     OverloadSpec,
     RequestTemplate,
+    Station,
     admission_by_name,
     profile_by_name,
     validate_load_report,
@@ -123,8 +124,13 @@ class TestAdmissionPolicies:
         policy = admission_by_name(
             OverloadSpec(admission="bounded-queue", queue_limit=4), 7
         )
-        assert policy.admit(0.0, 3, ("g", 0))
-        assert not policy.admit(0.0, 4, ("g", 1))
+        nic = Station("node0/nic")
+        nic.arrive(0.0, 1.0, 0, ("g", 9), "in service")
+        for index in range(2):
+            nic.offer(0.0, 0, ("w", index), index)
+        assert policy.admit(0.0, nic, ("g", 0))      # backlog 3
+        nic.offer(0.0, 0, ("w", 2), 2)
+        assert not policy.admit(0.0, nic, ("g", 1))  # backlog 4
 
     def test_token_bucket_exhausts_and_refills(self):
         policy = admission_by_name(

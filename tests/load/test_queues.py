@@ -3,9 +3,16 @@
 from repro.load import Station
 
 
+def _finish(station, now_ns):
+    """``finish`` as ``(shed payloads, (queue wait, next payload))``, the
+    pair ``None`` when nobody is left to start."""
+    shed, waiter, __, wait_ns = station.finish(now_ns)
+    return list(shed), None if waiter is None else (wait_ns, waiter)
+
+
 def _pop(station, now_ns):
-    """``pop_live`` on a line without deadlines: nothing is ever shed."""
-    shed, waiter = station.pop_live(now_ns)
+    """``finish`` on a line without deadlines: nothing is ever shed."""
+    shed, waiter = _finish(station, now_ns)
     assert shed == []
     return waiter
 
@@ -40,13 +47,13 @@ class TestDisciplines:
 class TestAccounting:
     def test_busy_and_served(self):
         station = Station("s")
-        assert station.idle
-        done = station.start(10.0, 5.0)
+        assert station.backlog() == 0        # idle
+        done, dropped = station.arrive(10.0, 5.0, 0, (0, 0), "a")
         assert done == 15.0
-        assert not station.idle
-        station.release()
-        station.start(20.0, 5.0)
-        station.release()
+        assert station.backlog() == 1        # busy
+        station.finish(15.0)
+        station.arrive(20.0, 5.0, 0, (0, 1), "b")
+        station.finish(25.0)
         summary = station.summary(100.0)
         assert summary["served"] == 2
         assert summary["busy_ns"] == 10.0
@@ -67,7 +74,7 @@ class TestAccounting:
     def test_backlog_counts_queue_plus_server(self):
         station = Station("s")
         assert station.backlog() == 0
-        station.start(0.0, 1.0)
+        station.arrive(0.0, 1.0, 0, (0, 9), "served")
         station.offer(0.0, 0, (0, 0), "a")
         assert station.backlog() == 2
 
@@ -117,17 +124,20 @@ class TestBoundedOffer:
 
     def test_capacity_bounds_the_waiting_line_not_the_server(self):
         station = Station("s", "fifo", capacity=1)
-        station.start(0.0, 10.0)             # server busy
+        station.arrive(0.0, 10.0, 0, (1, 0), "x")   # server busy
         assert station.offer(0.0, 0, (0, 0), "a")[0]
         assert not station.offer(1.0, 0, (0, 1), "b")[0]
 
 
 class TestDeadlineShedding:
+    """``pop_live`` in these names is the shed-then-pop step that
+    :meth:`Station.finish` performs before it starts the next waiter."""
+
     def test_pop_live_sheds_expired_then_serves(self):
         station = Station("s")
         station.offer(0.0, 0, (0, 0), "stale", deadline_ns=5.0)
         station.offer(0.0, 0, (0, 1), "fresh", deadline_ns=100.0)
-        shed, waiter = station.pop_live(10.0)
+        shed, waiter = _finish(station, 10.0)
         assert shed == ["stale"]
         assert waiter[1] == "fresh"
         assert station.shed == 1
@@ -136,25 +146,25 @@ class TestDeadlineShedding:
     def test_pop_live_without_deadline_never_sheds(self):
         station = Station("s")
         station.offer(0.0, 0, (0, 0), "a")   # deadline 0.0 = none
-        shed, waiter = station.pop_live(1e12)
+        shed, waiter = _finish(station, 1e12)
         assert shed == [] and waiter[1] == "a"
 
     def test_pop_live_all_expired_returns_none(self):
         station = Station("s")
         station.offer(0.0, 0, (0, 0), "a", deadline_ns=1.0)
         station.offer(0.0, 0, (0, 1), "b", deadline_ns=2.0)
-        shed, waiter = station.pop_live(10.0)
+        shed, waiter = _finish(station, 10.0)
         assert shed == ["a", "b"] and waiter is None
         assert station.shed == 2
         assert station.shed_wait_ns == 20.0
 
     def test_pop_live_empty_queue(self):
-        assert Station("s").pop_live(5.0) == ([], None)
+        assert _finish(Station("s"), 5.0) == ([], None)
 
     def test_exact_deadline_is_still_live(self):
         station = Station("s")
         station.offer(0.0, 0, (0, 0), "a", deadline_ns=10.0)
-        shed, waiter = station.pop_live(10.0)   # wait == deadline: live
+        shed, waiter = _finish(station, 10.0)   # wait == deadline: live
         assert shed == [] and waiter[1] == "a"
 
 
@@ -168,9 +178,9 @@ class TestBoundedAccounting:
         accepted, evicted = station.offer(10.0, 0, (0, 2), "hot")
         assert accepted and evicted == "bulk"
         # At t=20 nothing expires; pop hot, then mid.
-        shed, waiter = station.pop_live(20.0)
+        shed, waiter = _finish(station, 20.0)
         assert shed == [] and waiter[1] == "hot"
-        shed, waiter = station.pop_live(20.0)
+        shed, waiter = _finish(station, 20.0)
         assert shed == [] and waiter[1] == "mid"
         summary = station.summary(40.0, overload=True)
         # Integral: 2*10 + 2*10 + 1*0 = 40 over 40 ns.
@@ -188,3 +198,42 @@ class TestBoundedAccounting:
         full.offer(0.0, 0, (0, 0), "a")
         full.offer(1.0, 0, (0, 1), "b")
         assert full.summary(10.0, overload=True)["rejected"] == 1
+
+
+class TestTransitions:
+    def test_idle_server_starts_at_once(self):
+        station = Station("s")
+        assert station.arrive(3.0, 2.0, 0, (0, 0), "a") == (5.0, None)
+        assert station.depth() == 0 and station.served == 1
+
+    def test_busy_server_offers_to_the_line(self):
+        station = Station("s", "fifo", capacity=1)
+        station.arrive(0.0, 10.0, 0, (0, 0), "a")
+        assert station.arrive(1.0, 4.0, 0, (0, 1), "b") == (None, None)
+        # Rejected: the newcomer itself is what was dropped.
+        assert station.arrive(2.0, 4.0, 0, (0, 2), "c") == (None, "c")
+        assert station.depth() == 1 and station.rejected == 1
+
+    def test_eviction_reports_the_evicted_waiter(self):
+        station = Station("s", "priority", capacity=1)
+        station.arrive(0.0, 10.0, 0, (0, 0), "a")
+        station.arrive(1.0, 4.0, 3, (0, 1), "bulk")
+        assert station.arrive(2.0, 4.0, 0, (0, 2), "hot") == (None, "bulk")
+
+    def test_finish_starts_the_waiter_with_its_service_time(self):
+        station = Station("s")
+        station.arrive(0.0, 10.0, 0, (0, 0), "a")
+        station.arrive(1.0, 4.0, 0, (0, 1), "b")
+        shed, waiter, done_ns, wait_ns = station.finish(10.0)
+        assert (list(shed), waiter, done_ns, wait_ns) == ([], "b", 14.0, 9.0)
+        assert station.busy_ns == 14.0 and station.served == 2
+        assert station.backlog() == 1
+
+    def test_finish_with_every_waiter_expired_idles_the_server(self):
+        station = Station("s")
+        station.arrive(0.0, 10.0, 0, (0, 0), "a")
+        station.arrive(0.0, 4.0, 0, (0, 1), "b", deadline_ns=1.0)
+        shed, waiter, __, __ = station.finish(10.0)
+        assert list(shed) == ["b"] and waiter is None
+        assert station.backlog() == 0
+        assert station.arrive(10.0, 2.0, 0, (0, 2), "c") == (12.0, None)

@@ -49,6 +49,25 @@ class TestSpecs:
         with pytest.raises(ModelError):
             ClosedLoopSpec("g", clients=1, think_ns=-1.0, templates=template)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_inputs_are_rejected(self, value):
+        """An infinite or NaN rate, think time or deadline would never
+        reach the horizon (or silently stop a client): each is refused
+        when the spec is built."""
+        template = (RequestTemplate("t"),)
+        with pytest.raises(ModelError):
+            OpenLoopSpec("g", rate_per_s=value, templates=template)
+        with pytest.raises(ModelError):
+            ClosedLoopSpec("g", clients=1, think_ns=value, templates=template)
+        with pytest.raises(ModelError):
+            RequestTemplate("t", deadline_ns=value)
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_multiplier_is_a_model_error(self, name, value):
+        with pytest.raises(ModelError, match="finite"):
+            profile_by_name(name).scaled(value)
+
     def test_profile_needs_generators_and_nodes(self):
         with pytest.raises(ModelError):
             LoadProfile(name="empty")

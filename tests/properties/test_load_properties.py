@@ -238,7 +238,7 @@ def test_station_accounting_is_exact_under_bounded_interleavings(
             else:
                 newcomer_rejects += 1
         else:
-            shed, waiter = station.pop_live(now)
+            shed, waiter, __, __ = station.finish(now)
             depth -= len(shed)
             if waiter is not None:
                 depth -= 1

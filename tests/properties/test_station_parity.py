@@ -1,14 +1,20 @@
-"""Per-rank FIFO lanes are an exact twin of a single heap.
+"""Per-rank FIFO lanes and the server transitions are an exact twin of
+a single heap driven step by step.
 
 :class:`~repro.load.Station` keeps its waiting line as one FIFO lane per
-rank, appending on offer and evicting a lane's tail.  The oracle below
-is the algorithm the lanes replaced: one heap of ``(rank, enqueue time,
-identity, payload, deadline)``, a linear ``max`` to find the worst
-waiter, ``remove`` + ``heapify`` to evict it.  The properties drive both
-with the same random calls — nondecreasing times with ties whose
-identities arrive out of order, both disciplines, capacities ``None``,
-1, 2 and 5, some waiters with deadlines — and demand every return value
-and every tally agree exactly, floats included.
+rank, appending on offer and evicting a lane's tail, and moves its
+server through two transitions: ``arrive`` (start at once when idle,
+otherwise offer) and ``finish`` (free the server, shed expired waiters,
+start the next live one).  The oracle below is the algorithm the lanes
+replaced — one heap of ``(rank, enqueue time, identity, payload,
+deadline, service)``, a linear ``max`` to find the worst waiter,
+``remove`` + ``heapify`` to evict it — with the transitions composed
+from separate ``start``, ``release`` and ``pop_live`` steps.  The
+properties drive both with the same random calls — nondecreasing times
+with ties whose identities arrive out of order, both disciplines,
+capacities ``None``, 1, 2 and 5, some waiters with deadlines, finishes
+whose every waiter has expired — and demand every return value and
+every tally agree exactly, floats included.
 
 CI gates on this module: the job fails if these tests are skipped.
 """
@@ -37,10 +43,11 @@ class HeapStation:
         self.integral += len(self.queue) * (now - self.clock)
         self.clock = now
 
-    def offer(self, now, priority, identity, payload, deadline_ns):
+    def offer(self, now, priority, identity, payload, deadline_ns,
+              service_ns=0.0):
         self.account(now)
         rank = priority if self.discipline == "priority" else 0
-        entry = (rank, now, identity, payload, deadline_ns)
+        entry = (rank, now, identity, payload, deadline_ns, service_ns)
         if self.capacity is not None and len(self.queue) >= self.capacity:
             self.rejected += 1
             if self.discipline != "priority":
@@ -63,7 +70,8 @@ class HeapStation:
             return shed, None
         self.account(now)
         while self.queue:
-            __, enqueued, __, payload, deadline_ns = heapq.heappop(self.queue)
+            entry = heapq.heappop(self.queue)
+            __, enqueued, __, payload, deadline_ns, service_ns = entry
             wait = now - enqueued
             self.wait_ns += wait
             if deadline_ns > 0.0 and wait > deadline_ns:
@@ -71,7 +79,7 @@ class HeapStation:
                 self.shed_wait_ns += wait
                 shed.append(payload)
                 continue
-            return shed, (enqueued, payload)
+            return shed, (enqueued, payload, service_ns)
         return shed, None
 
     def start(self, now, service_ns):
@@ -85,6 +93,25 @@ class HeapStation:
 
     def backlog(self):
         return len(self.queue) + (0 if self.idle else 1)
+
+    # The two transitions, composed from the steps above.
+
+    def arrive(self, now, service_ns, priority, identity, payload,
+               deadline_ns):
+        if self.idle:
+            return self.start(now, service_ns), None
+        accepted, evicted = self.offer(
+            now, priority, identity, payload, deadline_ns, service_ns
+        )
+        return None, evicted if accepted else payload
+
+    def finish(self, now):
+        self.release()
+        shed, waiter = self.pop_live(now)
+        if waiter is None:
+            return shed, None, 0.0, 0.0
+        enqueued, payload, service_ns = waiter
+        return shed, payload, self.start(now, service_ns), now - enqueued
 
     def summary(self, duration_ns, overload):
         self.account(duration_ns)
@@ -108,18 +135,20 @@ class HeapStation:
 #: Time gaps: zeros make ties, the rest spread waits across deadlines.
 _GAPS = st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 2.5, 7.0])
 
+#: A waiter's arguments: priority, deadline_ns, identity head, service.
+_WAITER = (
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([0.0, 0.0, 2.0, 6.0]),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([0.5, 3.0]),
+)
+
 _OPS = st.lists(
     st.one_of(
-        st.tuples(
-            st.just("offer"),
-            _GAPS,
-            st.integers(min_value=0, max_value=3),          # priority
-            st.sampled_from([0.0, 0.0, 2.0, 6.0]),          # deadline_ns
-            st.integers(min_value=0, max_value=3),          # identity head
-        ),
-        st.tuples(st.just("pop"), _GAPS),
-        st.tuples(st.just("start"), _GAPS, st.sampled_from([0.5, 3.0])),
-        st.tuples(st.just("release"), _GAPS),
+        st.tuples(st.just("arrive"), _GAPS, *_WAITER),
+        st.tuples(st.just("arrive"), _GAPS, *_WAITER),
+        st.tuples(st.just("finish"), _GAPS),
+        st.tuples(st.just("offer"), _GAPS, *_WAITER),
     ),
     min_size=1,
     max_size=60,
@@ -133,23 +162,27 @@ def _drive(ops, discipline, capacity):
     now = 0.0
     for index, (kind, gap, *args) in enumerate(ops):
         now += gap
-        if kind == "offer":
-            priority, deadline_ns, head = args
-            # The identity head is drawn, the tail keeps it unique: a
-            # same-time offer may carry a smaller identity than the
-            # one before it.
-            call = (now, priority, (head, index), index, deadline_ns)
-            assert station.offer(*call) == oracle.offer(*call)
-        elif kind == "pop":
-            assert station.pop_live(now) == oracle.pop_live(now)
-        elif kind == "start":
-            assert station.start(now, args[0]) == oracle.start(now, args[0])
+        if kind == "finish":
+            shed, *rest = station.finish(now)
+            assert [list(shed), *rest] == list(oracle.finish(now))
         else:
-            station.release()
-            oracle.release()
+            priority, deadline_ns, head, service_ns = args
+            # The identity head is drawn, the tail keeps it unique: a
+            # same-time waiter may carry a smaller identity than the
+            # one before it.
+            call = (priority, (head, index), index, deadline_ns)
+            if kind == "arrive":
+                assert station.arrive(now, service_ns, *call) == (
+                    oracle.arrive(now, service_ns, *call)
+                )
+            else:
+                assert station.offer(now, *call, service_ns) == (
+                    oracle.offer(now, *call, service_ns)
+                )
         assert station.depth() == len(oracle.queue)
         assert station.backlog() == oracle.backlog()
-        assert station.idle == oracle.idle
+        assert station.busy_ns == oracle.busy_ns
+        assert station.served == oracle.served
         assert station.max_depth == oracle.max_depth
         assert station.rejected == oracle.rejected
         assert station.shed == oracle.shed
@@ -177,12 +210,12 @@ def test_same_time_smaller_identity_is_served_first(discipline):
     """Three waiters at one instant, the middle one's identity smallest:
     appending in arrival order would serve them out of key order."""
     ops = [
-        ("offer", 0.0, 1, 0.0, 3),
-        ("offer", 0.0, 1, 0.0, 0),
-        ("offer", 0.0, 1, 0.0, 2),
-        ("pop", 1.0),
-        ("pop", 0.0),
-        ("pop", 0.0),
+        ("offer", 0.0, 1, 0.0, 3, 0.5),
+        ("offer", 0.0, 1, 0.0, 0, 0.5),
+        ("offer", 0.0, 1, 0.0, 2, 0.5),
+        ("finish", 1.0),
+        ("finish", 0.0),
+        ("finish", 0.0),
     ]
     _drive(ops, discipline, None)
 
@@ -191,11 +224,43 @@ def test_full_station_evicts_the_worst_of_tied_waiters():
     """The worst waiter of the highest rank is the one with the largest
     identity among same-time waiters, whatever their arrival order."""
     ops = [
-        ("offer", 0.0, 2, 0.0, 3),
-        ("offer", 0.0, 2, 0.0, 1),
-        ("offer", 0.0, 0, 0.0, 0),
-        ("offer", 1.0, 0, 0.0, 0),
-        ("pop", 1.0),
-        ("pop", 0.0),
+        ("offer", 0.0, 2, 0.0, 3, 0.5),
+        ("offer", 0.0, 2, 0.0, 1, 0.5),
+        ("offer", 0.0, 0, 0.0, 0, 0.5),
+        ("offer", 1.0, 0, 0.0, 0, 0.5),
+        ("finish", 1.0),
+        ("finish", 0.0),
     ]
     _drive(ops, "priority", 2)
+
+
+@pytest.mark.parametrize("discipline", ["fifo", "priority"])
+@pytest.mark.parametrize("capacity", [None, 1, 2, 5])
+def test_finish_with_every_waiter_expired_idles_the_server(
+    discipline, capacity
+):
+    """A busy server whose whole line outwaited its deadlines sheds them
+    all and goes idle, so the next arrival starts at once."""
+    ops = [
+        ("arrive", 0.0, 0, 0.0, 0, 3.0),
+        ("arrive", 0.0, 1, 2.0, 1, 0.5),
+        ("arrive", 0.5, 0, 2.0, 2, 0.5),
+        ("finish", 7.0),
+        ("arrive", 0.0, 0, 0.0, 3, 3.0),
+        ("finish", 3.0),
+    ]
+    _drive(ops, discipline, capacity)
+
+
+@pytest.mark.parametrize("discipline", ["fifo", "priority"])
+def test_finish_starts_the_waiter_with_its_own_service_time(discipline):
+    """The next waiter's service time travels in its lane entry."""
+    ops = [
+        ("arrive", 0.0, 0, 0.0, 0, 0.5),
+        ("arrive", 0.0, 0, 6.0, 1, 3.0),
+        ("arrive", 0.0, 0, 0.0, 2, 0.5),
+        ("finish", 0.5),
+        ("finish", 3.0),
+        ("finish", 0.5),
+    ]
+    _drive(ops, discipline, None)

@@ -28,6 +28,8 @@ class TestValidation:
         (-1.0,),
         (1.0, 1.0),
         (2.0, 1.0),
+        (1.0, float("inf")),
+        (float("nan"),),
     ])
     def test_bad_multipliers_raise(self, multipliers):
         with pytest.raises(LoadError):
@@ -41,6 +43,13 @@ class TestValidation:
         with pytest.raises(LoadError):
             run_load_curve(
                 profile_by_name("steady"), seed=7, horizon_ns=0.0
+            )
+
+    @pytest.mark.parametrize("horizon_ns", [float("inf"), float("nan")])
+    def test_duration_must_be_finite(self, horizon_ns):
+        with pytest.raises(LoadError, match="finite"):
+            run_load_curve(
+                profile_by_name("steady"), seed=7, horizon_ns=horizon_ns
             )
 
 
