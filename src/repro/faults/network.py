@@ -51,19 +51,25 @@ class FaultyTopology(Topology):
         weighted = load / self.link_weight(link)
         return weighted / derate if derate < 1.0 else weighted
 
-    def max_link_congestion(self, flows: Iterable[Flow]) -> float:
-        """Worst derate-weighted link load (the degraded congestion).
+    def max_link_congestions(
+        self, patterns: Iterable[Iterable[Flow]]
+    ) -> List[float]:
+        """Worst derate-weighted link load of each pattern (the degraded
+        congestion; int ``0`` for a pattern that never leaves its nodes).
 
-        Routed hop by hop: a detour around a failed link is not one arc
-        per dimension ring, so the healthy grid's interval count does
-        not apply.
+        Routed hop by hop, pattern by pattern: a detour around a failed
+        link is not one arc per dimension ring, so the healthy grid's
+        interval count does not apply.
         """
-        loads = self.link_loads(flows)
-        if not loads:
-            return 0
-        return max(
-            self.effective_load(link, load) for link, load in loads.items()
-        )
+        congestions: List[float] = []
+        for flows in patterns:
+            loads = self.link_loads(flows).items()
+            congestions.append(
+                max(self.effective_load(link, load) for link, load in loads)
+                if loads
+                else 0
+            )
+        return congestions
 
     def routing_key(self) -> Tuple:
         derates = tuple(

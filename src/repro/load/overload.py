@@ -27,6 +27,7 @@ run replays bit-identically, like everything else in ``repro.load``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
@@ -130,6 +131,17 @@ class OverloadSpec:
                 "station capacity must be >= 0 (0 = unbounded), "
                 f"got {self.station_capacity}"
             )
+        for name, value in (
+            ("token_rate_per_s", self.token_rate_per_s),
+            ("target_p99_ns", self.target_p99_ns),
+            ("p99_ceiling_ns", self.p99_ceiling_ns),
+            ("retry_backoff_ns", self.retry_backoff_ns),
+            ("breaker_cooldown_ns", self.breaker_cooldown_ns),
+        ):
+            # NaN passes every ordered comparison below, and an
+            # infinite rate or time would never be reached.
+            if not math.isfinite(value):
+                raise LoadError(f"{name} must be finite, got {value}")
         if self.admission == "token-bucket" and self.token_rate_per_s <= 0.0:
             raise LoadError(
                 "token-bucket admission needs token_rate_per_s > 0"

@@ -18,11 +18,18 @@ firing all flows at once.  Two classic phase families:
 
 :func:`schedule_congestion` evaluates a schedule's worst per-phase
 link load on a concrete topology, which is what the runtime's
-``scheduled=True`` congestion assumption rests on.
+``scheduled=True`` congestion assumption rests on.  It scores all its
+phases in one :meth:`~repro.netsim.topology.Topology.max_link_congestions`
+batch, and :func:`scheduled_congestions` scores the phases of many
+patterns in one, so a collective's rounds are signed together.  Most
+collective rounds are partial permutations, which
+:func:`partition_into_phases` returns as one phase without its greedy
+loop.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Sequence, Tuple
 
 from .topology import Topology
@@ -34,6 +41,7 @@ __all__ = [
     "best_aapc_schedule",
     "partition_into_phases",
     "scheduled_congestion",
+    "scheduled_congestions",
 ]
 
 Flow = Tuple[int, int]
@@ -76,7 +84,7 @@ def schedule_congestion(
     small constant while the unscheduled pattern's worst-link load
     grows with machine size.
     """
-    per_phase = [topology.max_link_congestion(phase) for phase in phases]
+    per_phase = topology.max_link_congestions(phases)
     return (max(per_phase) if per_phase else 0, per_phase)
 
 
@@ -99,13 +107,13 @@ def best_aapc_schedule(topology: Topology) -> Tuple[str, float, List[Phase]]:
 
 def _is_complete_exchange(flows: Sequence[Flow]) -> int:
     """If ``flows`` is an AAPC over nodes 0..n-1, return n, else 0."""
-    if not flows:
+    # Only n (n - 1) flows can be one, so most patterns fail on length.
+    count = len(flows)
+    n = (1 + math.isqrt(1 + 4 * count)) // 2
+    if not flows or n * (n - 1) != count:
         return 0
     nodes = {node for flow in flows for node in flow}
-    n = len(nodes)
-    if nodes != set(range(n)):
-        return 0
-    if len(flows) != n * (n - 1) or len(set(flows)) != len(flows):
+    if nodes != set(range(n)) or len(set(flows)) != count:
         return 0
     return n
 
@@ -116,11 +124,21 @@ def partition_into_phases(flows: Sequence[Flow]) -> List[Phase]:
     Complete exchanges use the shift schedule; any other pattern is
     partitioned greedily — each flow goes into the first phase where
     both its endpoints are still free, which for permutation-like
-    patterns (shifts, halo exchanges) yields one or two phases.
+    patterns (shifts, halo exchanges) yields one or two phases.  Self
+    flows are dropped.  A partial permutation (distinct sources and
+    distinct destinations) is one phase, which is what the greedy loop
+    returns for it, so it skips the loop.
     """
     n = _is_complete_exchange(flows)
     if n:
         return aapc_phases_shift(n)
+    moving = [(src, dst) for src, dst in flows if src != dst]
+    if (
+        len({src for src, __ in moving})
+        == len(moving)
+        == len({dst for __, dst in moving})
+    ):
+        return [moving] if moving else []
     phases: List[Phase] = []
     sources: List[set] = []
     destinations: List[set] = []
@@ -147,16 +165,35 @@ _SCHEDULED_CACHE: Dict = {}
 
 def scheduled_congestion(topology: Topology, flows: Sequence[Flow]) -> float:
     """Worst per-phase link congestion of the phase-scheduled pattern."""
-    key = (
+    return scheduled_congestions(topology, (flows,))[0]
+
+
+def scheduled_congestions(
+    topology: Topology, patterns: Sequence[Sequence[Flow]]
+) -> List[float]:
+    """:func:`scheduled_congestion` of each pattern, in order.
+
+    The phases of every pattern not yet cached are scored together,
+    in one :meth:`~repro.netsim.topology.Topology.max_link_congestions`
+    batch, and cached under the same keys as one at a time.
+    """
+    prefix = (
         type(topology).__name__,
         topology.dims,
         topology.wrap,
         topology.routing_key(),
-        tuple(sorted(set(flows))),
     )
-    cached = _SCHEDULED_CACHE.get(key)
-    if cached is None:
-        phases = partition_into_phases(flows)
-        cached, __ = schedule_congestion(topology, phases)
-        _SCHEDULED_CACHE[key] = cached
-    return cached
+    keys = [prefix + (tuple(sorted(set(flows))),) for flows in patterns]
+    missing: Dict[Tuple, List[Phase]] = {}
+    for key, flows in zip(keys, patterns):
+        if key not in _SCHEDULED_CACHE and key not in missing:
+            missing[key] = partition_into_phases(flows)
+    if missing:
+        per_phase = topology.max_link_congestions(
+            [phase for phases in missing.values() for phase in phases]
+        )
+        end = 0
+        for key, phases in missing.items():
+            start, end = end, end + len(phases)
+            _SCHEDULED_CACHE[key] = max(per_phase[start:end], default=0)
+    return [_SCHEDULED_CACHE[key] for key in keys]

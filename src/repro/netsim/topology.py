@@ -20,7 +20,12 @@ worst link carries than it can support at peak speed — follows.
 :meth:`Topology.max_link_congestion` computes that figure without
 routing: a dimension-order route crosses one contiguous arc of each
 dimension ring it moves along, so the worst link is the most-covered
-position of a per-ring interval count.
+position of a per-ring interval count.  :meth:`Topology.max_link_congestions`
+is the batch form and the one implementation: a collective signs all
+its round patterns at once, and one NumPy pass (one ``bincount`` per
+dimension, with a pattern axis in front of the ring rows) counts up to
+``_PASS_FLOWS`` flows, because a pass costs mostly a fixed number of
+NumPy calls whatever it counts.
 """
 
 from __future__ import annotations
@@ -51,6 +56,11 @@ Flow = Tuple[int, int]
 #: Wraparound spec: one bool for every dimension, or a single bool
 #: applied to all of them.
 WrapSpec = Union[bool, Sequence[bool]]
+
+#: Flows one NumPy pass of :meth:`Topology.max_link_congestions`
+#: counts.  A pass costs mostly a fixed number of NumPy calls, so it
+#: covers many patterns; the bound keeps its arrays small.
+_PASS_FLOWS = 1024
 
 
 @dataclass(frozen=True)
@@ -268,33 +278,70 @@ class Topology:
         """The worst weighted link load (the paper's congestion figure).
 
         Equal, in value and type, to the worst ``load / link_weight``
-        over :meth:`link_loads`, but counted without routing a flow.
-        Along dimension ``k`` a dimension-order route moves on the ring
-        whose other coordinates are the destination's below ``k`` and
-        the source's above it, covering one arc in the direction
-        :meth:`_steps` picks.  A link is named by the ring position it
-        leaves, so each (ring, direction) row counts arcs with an
-        integer difference array: ``+1`` where the arc starts, ``-1``
-        where it ends, and a ``+1`` at position 0 for an arc that wraps
-        past the end of the ring.  Returns int ``0`` when no flow
-        leaves its node.
+        over :meth:`link_loads`; the batch of one pattern in
+        :meth:`max_link_congestions`.
         """
-        pairs = np.fromiter(
-            chain.from_iterable(flows), dtype=np.int64
-        ).reshape(-1, 2)
+        return self.max_link_congestions((flows,))[0]
+
+    def max_link_congestions(
+        self, patterns: Iterable[Iterable[Flow]]
+    ) -> List[float]:
+        """:meth:`max_link_congestion` of each flow pattern, in order.
+
+        Counted without routing a flow.  Along dimension ``k`` a
+        dimension-order route moves on the ring whose other coordinates
+        are the destination's below ``k`` and the source's above it,
+        covering one arc in the direction :meth:`_steps` picks.  A link
+        is named by the ring position it leaves, so each (pattern, ring,
+        direction) row counts arcs with an integer difference array:
+        ``+1`` where the arc starts, ``-1`` where it ends, and a ``+1``
+        at position 0 for an arc that wraps past the end of the ring.
+        A flow that stays on its node is dropped before counting (it is
+        never routed, so its nodes are never checked), and a pattern
+        with no other flow scores int ``0``.
+
+        The cost of a NumPy pass is mostly a fixed cost per call, so
+        one pass counts many patterns: it closes once it holds
+        :data:`_PASS_FLOWS` flows, or ``_PASS_FLOWS // n_nodes``
+        patterns, which keeps its per-ring counters as small.
+        """
+        congestions: List[float] = []
+        nodes: List[int] = []
+        lengths: List[int] = []
+        most = max(1, _PASS_FLOWS // self.n_nodes)
+        for flows in patterns:
+            before = len(nodes)
+            nodes.extend(chain.from_iterable(flows))
+            if (len(nodes) - before) % 2:
+                raise ValueError("a flow is a (source, destination) pair")
+            lengths.append((len(nodes) - before) // 2)
+            if len(nodes) >= 2 * _PASS_FLOWS or len(lengths) == most:
+                congestions += self._count_pass(nodes, lengths)
+                nodes, lengths = [], []
+        if lengths:
+            congestions += self._count_pass(nodes, lengths)
+        return congestions
+
+    def _count_pass(
+        self, nodes: List[int], lengths: List[int]
+    ) -> List[float]:
+        """One interval-count pass over the patterns ``lengths`` splits
+        the flattened ``(src, dst)`` ids of ``nodes`` into."""
+        pairs = np.array(nodes, dtype=np.int64).reshape(-1, 2)
+        patterns = len(lengths)
+        pattern = np.repeat(np.arange(patterns), lengths)
+        moving = pairs[:, 0] != pairs[:, 1]
+        pairs, pattern = pairs[moving], pattern[moving]
+        if not len(pattern):
+            return [0] * patterns
         src, dst = pairs[:, 0], pairs[:, 1]
-        moving = src != dst
-        if not moving.any():
-            return 0
         n_nodes = self.n_nodes
-        outside = moving & (
-            (src < 0) | (src >= n_nodes) | (dst < 0) | (dst >= n_nodes)
-        )
+        outside = (src < 0) | (src >= n_nodes) | (dst < 0) | (dst >= n_nodes)
         if outside.any():
             first = pairs[np.flatnonzero(outside)[0]]
             node = first[0] if not 0 <= first[0] < n_nodes else first[1]
             raise ValueError(f"node {node} out of range 0..{n_nodes - 1}")
-        worst = 0.0
+        worst = np.zeros(patterns)
         stride = n_nodes
         for dim, size in enumerate(self.dims):
             stride //= size
@@ -311,16 +358,25 @@ class Topology:
             # a flow that stays put on this ring gets an empty arc.
             low = np.where(positive, start, goal + 1)
             high = np.where(positive, goal, start + 1)
-            # One row per (ring, direction), the positive one first.
+            # One row per (pattern, ring, direction), the positive first.
             width = size + 1
-            row = (2 * ring + ~positive) * width
-            cells = 2 * (n_nodes // size) * width
+            rings = n_nodes // size
+            row = (2 * (pattern * rings + ring) + ~positive) * width
+            cells = patterns * 2 * rings * width
             marks = np.bincount(
                 np.concatenate((row + low, row[low > high])), minlength=cells
             ) - np.bincount(row + high, minlength=cells)
-            load = int(marks.reshape(-1, width)[:, :size].cumsum(axis=1).max())
-            worst = max(worst, load / self.dim_weight(dim))
-        return worst
+            load = (
+                marks.reshape(patterns, -1, width)[:, :, :size]
+                .cumsum(axis=2)
+                .max(axis=(1, 2))
+            )
+            np.maximum(worst, load / self.dim_weight(dim), out=worst)
+        counted = np.bincount(pattern, minlength=patterns).tolist()
+        return [
+            load if flows else 0
+            for load, flows in zip(worst.tolist(), counted)
+        ]
 
     def all_links(self) -> List[Link]:
         """Every directed link, node by node in :meth:`neighbour_links` order."""

@@ -16,16 +16,18 @@ and receiving simultaneously under the pattern's network congestion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.operations import OperationStyle
 from ..core.patterns import AccessPattern
 from ..faults.degrade import DegradedResult
 from ..faults.spec import FaultPlan, current_fault_plan
+from ..netsim.schedule import scheduled_congestions
 from ..trace.tracer import current_tracer
 from .engine import CommRuntime, MeasuredTransfer, _emit
 
-__all__ = ["StepResult", "CommunicationStep"]
+__all__ = ["StepResult", "CommunicationStep", "sign_patterns"]
 
 Flow = Tuple[int, int]
 
@@ -107,81 +109,13 @@ class CommunicationStep:
         self.sync_per_message_ns = sync_per_message_ns
 
     def _fault_plan(self) -> Optional[FaultPlan]:
-        """The fault plan governing this step, ``None`` when healthy.
-
-        Mirrors :meth:`CommRuntime.transfer`'s fast exit: an explicit
-        runtime plan (even an empty one) shadows the context plan, and
-        emptiness — precomputed on the plan — resolves to ``None`` here
-        so no per-flow fault bookkeeping runs under a no-op plan.
-        """
-        if self.runtime.faults is not None:
-            return self.runtime._standing_plan
-        plan = current_fault_plan()
-        if plan is not None and plan.is_empty():
-            return None
-        return plan
-
-    def _congestion(self, plan: Optional[FaultPlan] = None) -> float:
-        if self.scheduled:
-            # Phase-schedule the pattern (shift schedule for complete
-            # exchanges, greedy otherwise) and take the worst per-phase
-            # link load; the access-point sharing floor still applies.
-            from ..netsim.schedule import scheduled_congestion
-
-            topology = self.runtime.machine.topology(
-                max(max(flow) for flow in self.flows) + 1
-            )
-            if plan is not None:
-                topology = plan.wrap_topology(topology)
-            per_phase = scheduled_congestion(topology, self.flows)
-            floor = max(1, self.runtime.machine.network.port_sharing)
-            return float(max(per_phase, floor)) * self.schedule_slack
-        model = self.runtime.machine.network_model()
-        if plan is not None:
-            # Failed links reroute the pattern's flows and derated ones
-            # weight their load; both lift the worst-link congestion.
-            model.topology = plan.wrap_topology(model.topology)
-        return model.congestion_for(self.flows)
+        """The fault plan governing this step (:func:`fault_plan`)."""
+        return fault_plan(self.runtime)
 
     def _sample_flow(self, plan: Optional[FaultPlan]) -> Flow:
-        """The flow that paces the step under ``plan``.
-
-        A collective step finishes when its slowest participant does,
-        so the representative point-to-point sample is taken between
-        the endpoints the plan hurts most (largest combined slowdown;
-        first such flow in pattern order for determinism).
-        """
-        if plan is None:
-            return self.flows[0]
-        return max(
-            self.flows,
-            key=lambda flow: (
-                plan.node_slowdown(flow[0]) * plan.node_slowdown(flow[1]),
-                not plan.deposit_available(flow[1]),
-            ),
-        )
-
-    def _messages_per_node(self) -> int:
-        """Messages the most-loaded node handles during the step.
-
-        A duplex node overlaps one send with one receive, so the
-        number of message slots a node serializes through is
-        ``max(sends, receives)`` — *not* its send count alone.
-        Counting only the send side undercounts fan-in patterns
-        (N senders, one receiver: the hot node receives N messages but
-        sends none) and overstates the hot node's throughput.
-        """
-        sends: Dict[int, int] = {}
-        receives: Dict[int, int] = {}
-        busiest = 0
-        for src, dst in self.flows:
-            sent = sends[src] = sends.get(src, 0) + 1
-            received = receives[dst] = receives.get(dst, 0) + 1
-            if sent > busiest:
-                busiest = sent
-            if received > busiest:
-                busiest = received
-        return busiest
+        """The flow that paces the step under ``plan``
+        (:func:`_sample_flow`)."""
+        return _sample_flow(plan, self.flows)
 
     def signature(
         self, plan: Optional[FaultPlan], pattern: Optional[int] = None
@@ -206,13 +140,14 @@ class CommunicationStep:
         key = (pattern, plan, self.scheduled, self.schedule_slack)
         facts = self.runtime._flow_facts.get(key)
         if facts is None:
-            src: Optional[int] = None
-            dst: Optional[int] = None
-            if plan is not None:
-                src, dst = self._sample_flow(plan)
-            facts = self.runtime._flow_facts[key] = (
-                self._congestion(plan), self._messages_per_node(), src, dst,
+            sign_patterns(
+                self.runtime,
+                plan,
+                ((pattern, self.flows),),
+                self.scheduled,
+                self.schedule_slack,
             )
+            facts = self.runtime._flow_facts[key]
         return (self.bytes_per_flow,) + facts
 
     def price(self, style: OperationStyle, signature: Signature) -> StepResult:
@@ -301,3 +236,139 @@ class CommunicationStep:
         result = self.price(style, self.signature(self._fault_plan()))
         self.emit(result)
         return result
+
+
+def fault_plan(runtime: CommRuntime) -> Optional[FaultPlan]:
+    """The fault plan governing ``runtime``'s steps, ``None`` when healthy.
+
+    Mirrors :meth:`CommRuntime.transfer`'s fast exit: an explicit
+    runtime plan (even an empty one) shadows the context plan, and
+    emptiness — precomputed on the plan — resolves to ``None`` here
+    so no per-flow fault bookkeeping runs under a no-op plan.
+    """
+    if runtime.faults is not None:
+        return runtime._standing_plan
+    plan = current_fault_plan()
+    if plan is not None and plan.is_empty():
+        return None
+    return plan
+
+
+def _sample_flow(plan: Optional[FaultPlan], flows: Sequence[Flow]) -> Flow:
+    """The flow that paces a step of ``flows`` under ``plan``.
+
+    A collective step finishes when its slowest participant does,
+    so the representative point-to-point sample is taken between
+    the endpoints the plan hurts most (largest combined slowdown;
+    first such flow in pattern order for determinism).
+    """
+    if plan is None:
+        return flows[0]
+    return max(
+        flows,
+        key=lambda flow: (
+            plan.node_slowdown(flow[0]) * plan.node_slowdown(flow[1]),
+            not plan.deposit_available(flow[1]),
+        ),
+    )
+
+
+def _messages_per_node(flows: Iterable[Flow]) -> int:
+    """Messages the most-loaded node handles during a step of ``flows``.
+
+    A duplex node overlaps one send with one receive, so the
+    number of message slots a node serializes through is
+    ``max(sends, receives)`` — *not* its send count alone.
+    Counting only the send side undercounts fan-in patterns
+    (N senders, one receiver: the hot node receives N messages but
+    sends none) and overstates the hot node's throughput.
+    """
+    sends: Dict[int, int] = {}
+    receives: Dict[int, int] = {}
+    busiest = 0
+    for src, dst in flows:
+        sent = sends[src] = sends.get(src, 0) + 1
+        received = receives[dst] = receives.get(dst, 0) + 1
+        if sent > busiest:
+            busiest = sent
+        if received > busiest:
+            busiest = received
+    return busiest
+
+
+def _congestions(
+    runtime: CommRuntime,
+    plan: Optional[FaultPlan],
+    scheduled: bool,
+    schedule_slack: float,
+    patterns: Sequence[Sequence[Flow]],
+) -> List[float]:
+    """The congestion of a step of each pattern, in order.
+
+    Scheduled steps phase-schedule their pattern (shift schedule for
+    complete exchanges, greedy otherwise) on the partition its nodes
+    span and take the worst per-phase link load, with the
+    access-point sharing floor; the patterns of one partition size
+    are scored in one batch.  Unscheduled steps take the raw
+    worst-link load on the machine's topology.
+    """
+    machine = runtime.machine
+    if not scheduled:
+        model = machine.network_model()
+        if plan is not None:
+            # Failed links reroute the pattern's flows and derated ones
+            # weight their load; both lift the worst-link congestion.
+            model.topology = plan.wrap_topology(model.topology)
+        return [model.congestion_for(flows) for flows in patterns]
+    by_size: Dict[int, List[int]] = {}
+    for index, flows in enumerate(patterns):
+        size = max(chain.from_iterable(flows)) + 1
+        by_size.setdefault(size, []).append(index)
+    floor = max(1, machine.network.port_sharing)
+    congestions = [0.0] * len(patterns)
+    for size, members in by_size.items():
+        topology = machine.topology(size)
+        if plan is not None:
+            topology = plan.wrap_topology(topology)
+        per_phase = scheduled_congestions(
+            topology, [patterns[index] for index in members]
+        )
+        for index, worst in zip(members, per_phase):
+            congestions[index] = float(max(worst, floor)) * schedule_slack
+    return congestions
+
+
+def sign_patterns(
+    runtime: CommRuntime,
+    plan: Optional[FaultPlan],
+    patterns: Iterable[Tuple[int, Sequence[Flow]]],
+    scheduled: bool = True,
+    schedule_slack: float = 1.0,
+) -> None:
+    """Keep the flow facts of every pattern ``runtime`` lacks.
+
+    ``patterns`` are ``(id, flows)`` pairs, the id being the runtime's
+    (:meth:`~repro.runtime.engine.CommRuntime._pattern`).  A step's
+    facts are its congestion, the messages its busiest node handles
+    and, under a fault plan, its sample flow's endpoints.  The
+    congestions of all the missing patterns are counted together, so
+    a collective that signs its distinct rounds at once pays each
+    NumPy pass once, not once per round.
+    """
+    facts = runtime._flow_facts
+    missing: Dict[Tuple, Sequence[Flow]] = {}
+    for pattern, flows in patterns:
+        key = (pattern, plan, scheduled, schedule_slack)
+        if key not in facts:
+            missing[key] = flows
+    if not missing:
+        return
+    congestions = _congestions(
+        runtime, plan, scheduled, schedule_slack, list(missing.values())
+    )
+    for (key, flows), congestion in zip(missing.items(), congestions):
+        src: Optional[int] = None
+        dst: Optional[int] = None
+        if plan is not None:
+            src, dst = _sample_flow(plan, flows)
+        facts[key] = (congestion, _messages_per_node(flows), src, dst)

@@ -44,9 +44,14 @@ from typing import Dict, Optional, Tuple
 from ..core.errors import ModelError
 from ..core.operations import OperationStyle
 from ..core.patterns import AccessPattern
-from ..faults.spec import FaultPlan
 from ..machines.cluster import ClusterMachine
-from .collective import CommunicationStep, Signature, StepResult
+from .collective import (
+    CommunicationStep,
+    Signature,
+    StepResult,
+    fault_plan,
+    sign_patterns,
+)
 from .engine import CommRuntime
 
 __all__ = [
@@ -240,21 +245,23 @@ def run_collective(
     """
     # The lowering is a pure function of its arguments, kept on the
     # runtime beside the flow facts it feeds (the argument types too:
-    # a float payload lowers to float chunks), with each round's key:
-    # its flow pattern's id and its payload.  Invalid arguments raise
-    # before anything is kept, so they raise on every call.
+    # a float payload lowers to float chunks), with each round's key
+    # (its flow pattern's id and its payload) and the distinct
+    # patterns by id.  Invalid arguments raise before anything is
+    # kept, so they raise on every call.
     lowering = (op, algorithm, nodes, nbytes, type(nodes), type(nbytes))
     lowered = runtime._lowerings.get(lowering)
     if lowered is None:
         built = collective_rounds(op, algorithm, nodes, nbytes)
-        lowered = runtime._lowerings[lowering] = (
-            built,
-            tuple(
-                (runtime._pattern(each.flows), each.bytes_per_flow)
-                for each in built
-            ),
+        keys = tuple(
+            (runtime._pattern(each.flows), each.bytes_per_flow)
+            for each in built
         )
-    rounds, round_keys = lowered
+        patterns = {key[0]: each.flows for each, key in zip(built, keys)}
+        lowered = runtime._lowerings[lowering] = (
+            built, keys, tuple(patterns.items())
+        )
+    rounds, round_keys, patterns = lowered
     read = AccessPattern.parse(x)
     write = AccessPattern.parse(y)
     machine = runtime.machine
@@ -286,8 +293,10 @@ def run_collective(
     # replays the priced round (its trace included).  The memo dies
     # with the call; the flow facts and transfers behind a price are
     # kept on the runtime, so a later call prices a round it has seen
-    # without re-running it.
-    plan: Optional[FaultPlan] = None
+    # without re-running it.  The flow facts of every distinct pattern
+    # are kept before the first round, in one batch.
+    plan = fault_plan(runtime)
+    sign_patterns(runtime, plan, patterns)
     signatures: Dict[Tuple[int, int], Signature] = {}
     priced: Dict[Signature, Tuple[CommunicationStep, StepResult]] = {}
     results = []
@@ -303,9 +312,6 @@ def run_collective(
                 write,
                 current.bytes_per_flow,
             )
-            if not signatures:
-                # The first round resolves the call's fault plan.
-                plan = step._fault_plan()
             signature = signatures[round_key] = step.signature(
                 plan, pattern=round_key[0]
             )

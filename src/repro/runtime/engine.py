@@ -322,14 +322,14 @@ class CommRuntime:
 
     A runtime prices each distinct transfer once: :meth:`transfer`
     keeps its results, :meth:`_expr` each model expression it lowers,
-    :meth:`~repro.runtime.collective.CommunicationStep.signature` keeps
-    each step pattern's flow facts here, keyed on the pattern's id
+    :func:`~repro.runtime.collective.sign_patterns` keeps each step
+    pattern's flow facts here, keyed on the pattern's id
     (:meth:`_pattern`), and
     :func:`~repro.runtime.collectives.run_collective` each collective's
-    lowered rounds with each round's key.  The memos are pure functions
-    of their keys, given the machine, library and table the runtime was
-    built with, and die with the runtime, so a fresh runtime is a cold
-    one.
+    lowered rounds with each round's key and its distinct patterns.
+    The memos are pure functions of their keys, given the machine,
+    library and table the runtime was built with, and die with the
+    runtime, so a fresh runtime is a cold one.
     """
 
     def __init__(
@@ -369,7 +369,11 @@ class CommRuntime:
         ] = {}
         self._lowerings: Dict[
             Tuple,
-            Tuple[Tuple["CollectiveRound", ...], Tuple[Tuple[int, int], ...]],
+            Tuple[
+                Tuple["CollectiveRound", ...],
+                Tuple[Tuple[int, int], ...],
+                Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...],
+            ],
         ] = {}
         self._patterns: Dict[Tuple[Tuple[int, int], ...], int] = {}
         self._exprs: Dict[Tuple, Expr] = {}

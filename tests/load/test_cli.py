@@ -169,6 +169,16 @@ class TestOverloadFlags:
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
 
+    def test_non_finite_adaptive_target_is_a_one_line_error(self, capsys):
+        assert main([
+            "load", "--admission", "adaptive", "--target-p99-us", "nan",
+            "--duration", "0.005",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "target_p99_ns must be finite" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_human_output_mentions_protection(self, capsys):
         assert main([
             "load", "--seed", "7", "--duration", "0.005",

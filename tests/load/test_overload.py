@@ -9,6 +9,7 @@ The two invariants this file pins hardest:
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -88,6 +89,18 @@ class TestOverloadSpec:
     ])
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(LoadError):
+            OverloadSpec(**kwargs)
+
+    @pytest.mark.parametrize("name", [
+        "token_rate_per_s", "target_p99_ns", "p99_ceiling_ns",
+        "retry_backoff_ns", "breaker_cooldown_ns",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_and_rates_rejected(self, name, value):
+        kwargs = {name: value}
+        if name == "target_p99_ns":
+            kwargs["admission"] = "adaptive"
+        with pytest.raises(LoadError, match=f"{name} must be finite"):
             OverloadSpec(**kwargs)
 
     def test_round_trip(self):

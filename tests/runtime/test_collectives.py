@@ -242,24 +242,25 @@ class TestRuntimeMemo:
     """A runtime prices each distinct step once, across collectives."""
 
     def test_cold_collective_sweep_prices_each_step_once(self, monkeypatch):
+        import repro.runtime.collective as collective_module
         from repro.sweep import collectives_spec, run_sweep
         from repro.sweep.worker import reset_memos
 
         calls = {"execute": 0, "congestion": 0}
         execute = CommRuntime._execute
-        congestion = CommunicationStep._congestion
+        congestions = collective_module._congestions
 
         def counted_execute(self, *args, **kwargs):
             calls["execute"] += 1
             return execute(self, *args, **kwargs)
 
-        def counted_congestion(self, *args, **kwargs):
-            calls["congestion"] += 1
-            return congestion(self, *args, **kwargs)
+        def counted_congestions(runtime, plan, scheduled, slack, patterns):
+            calls["congestion"] += len(patterns)
+            return congestions(runtime, plan, scheduled, slack, patterns)
 
         monkeypatch.setattr(CommRuntime, "_execute", counted_execute)
         monkeypatch.setattr(
-            CommunicationStep, "_congestion", counted_congestion
+            collective_module, "_congestions", counted_congestions
         )
         reset_memos()
         run_sweep(collectives_spec(nodes=(64,)))
