@@ -1,6 +1,6 @@
 """The faults-off / trace-off fast exits (BENCH_speed.json targets).
 
-Two hot-path guarantees, checked structurally (call counting) rather
+Hot-path guarantees, checked structurally (call counting) rather
 than by wall clock — the timing gate lives in ``scripts/bench_speed.py``
 where repeated interleaved rounds can average the noise out:
 
@@ -11,6 +11,9 @@ where repeated interleaved rounds can average the noise out:
 * **Trace off** — with no tracer installed a transfer never runs the
   pipeline's recording loop; with a tracer the results are
   bit-identical.
+* **Scan selection** — an untraced 1 MiB transfer on every machine
+  runs no chunk loop (every lowered phase has consecutive resources),
+  and a pipeline below the scan threshold never enters the scan.
 """
 
 import time
@@ -19,6 +22,8 @@ import pytest
 
 from repro.core.patterns import CONTIGUOUS, strided
 from repro.faults import FaultPlan, injecting
+from repro.machines.registry import MACHINE_FACTORIES
+from repro.runtime import stages
 from repro.runtime.collective import CommunicationStep
 from repro.runtime.engine import CommRuntime
 from repro.runtime.stages import Stage, StagePipeline
@@ -129,6 +134,29 @@ class TestTraceOffFastExit:
         assert recorded.stage_busy_ns == bare.stage_busy_ns
         assert bare.chunks == ()
         assert len(recorded.chunks) == 16  # 8 chunks x 2
+
+
+class TestScanSelection:
+    """Which untraced pipelines the regime scan prices instead of the
+    chunk loop (``repro.runtime.stages``)."""
+
+    @pytest.mark.parametrize("key", sorted(MACHINE_FACTORIES))
+    def test_untraced_megabyte_transfer_never_loops(self, key, monkeypatch):
+        # Every lowered phase has consecutive resources and 2 048
+        # chunks, so the chunk loop never runs.
+        runtime = CommRuntime(MACHINE_FACTORIES[key]())
+        _forbid(monkeypatch, StagePipeline, "_run")
+        for style in ("chained", "buffer-packing"):
+            runtime.transfer(CONTIGUOUS, CONTIGUOUS, 1 << 20, style)
+
+    def test_short_pipeline_never_scans(self, monkeypatch):
+        pipeline = StagePipeline(
+            [Stage("send", 100.0, "cpu"), Stage("net", 50.0, "net")]
+        )
+        _forbid(monkeypatch, StagePipeline, "_scan")
+        for n_chunks in (1, 2, stages._SCAN_CHUNKS - 1):
+            pipeline.run(n_chunks * 512, chunk_bytes=512)
+        pipeline.run((stages._SCAN_CHUNKS - 1) * 512 - 1, chunk_bytes=512)
 
 
 @pytest.mark.slow

@@ -1,7 +1,9 @@
 """Tests for the chunked stage pipeline (repro.runtime.stages)."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.runtime.stages import Stage, StagePipeline
@@ -140,6 +142,39 @@ class TestValidation:
             pipeline.run(0)
         with pytest.raises(ValueError):
             pipeline.run(100, chunk_bytes=0)
+
+    @pytest.mark.parametrize("rate", [math.nan, -1.0, -math.inf])
+    def test_nan_or_negative_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="positive rate"):
+            StagePipeline([Stage("s", rate, "cpu")])
+
+    @pytest.mark.parametrize("field", ["chunk_overhead_ns", "startup_ns"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_overhead_or_startup_rejected(self, field, value):
+        # A NaN startup used to drop out of the finish (``free >
+        # chunk_ready`` is false), a negative overhead ran backwards.
+        stage = Stage("s", 10.0, "cpu", **{field: value})
+        with pytest.raises(ValueError, match=field) as caught:
+            StagePipeline([stage, Stage("t", 10.0, "net")])
+        assert "\n" not in str(caught.value)
+
+    @pytest.mark.parametrize("bad", [True, False, 512.0, 1.5, "512", None])
+    def test_non_integer_sizes_rejected(self, bad):
+        # ``run(True, 512)`` used to price a 1-byte message, a float
+        # raised a raw TypeError from the size list.
+        pipeline = StagePipeline([Stage("s", 10.0, "cpu")])
+        with pytest.raises(ValueError, match="integer transfer size"):
+            pipeline.run(bad, chunk_bytes=512)
+        with pytest.raises(ValueError, match="integer chunk size"):
+            pipeline.run(4096, chunk_bytes=bad)
+
+    def test_numpy_integer_sizes_accepted(self):
+        # CommRuntime.transfer accepts any Integral byte count.
+        pipeline = StagePipeline([Stage("s", 10.0, "cpu")])
+        for nbytes in (4096, 1 << 20):
+            assert pipeline.run(np.int64(nbytes), np.int64(512)) == (
+                pipeline.run(nbytes, 512)
+            )
 
 
 def _reference_run(stages, nbytes, chunk_bytes):
